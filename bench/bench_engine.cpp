@@ -17,15 +17,12 @@
 // The workloads are chosen to stress the delivery substrate, not the
 // protocols: FloodSet is all-to-all with Θ(n)-sized payloads (the
 // worst-case wire volume per round), Optimal is tens of millions of small
-// messages (record-throughput bound). Each flood workload also runs with
-// the packed views (core/packed_view.h) — bit-identical metrics, and the
-// compute phase collapses from per-pair branching to word-wide OR — and
-// the packed_speedup section records that ratio.
+// messages (record-throughput bound). The /streamed rows run the same
+// flood workloads without inbox materialization.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -43,9 +40,7 @@ struct Workload {
   omx::harness::Attack attack;
   std::uint32_t n;
   int reps;
-  bool packed = false;
   bool streamed = false;
-  bool pipeline = false;
 };
 
 struct Sample {
@@ -66,9 +61,7 @@ Sample run_workload(omx::harness::Sweep& sweep, const Workload& w,
     cfg.inputs = omx::harness::InputPattern::Random;
     cfg.seed = 1;
     cfg.threads = threads;
-    cfg.packed = w.packed;
     cfg.streamed = w.streamed;
-    cfg.pipeline = w.pipeline;
     cfg.trace_path = trace_path;
     omx::sim::EngineStats stats;
     cfg.engine_stats = &stats;
@@ -78,10 +71,9 @@ Sample run_workload(omx::harness::Sweep& sweep, const Workload& w,
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     std::printf("  %-36s x%u rep %d: %9.1f ms  (compute %6.0f | adversary "
-                "%6.0f | delivery %6.0f | fused %6.0f)\n",
+                "%6.0f | delivery %6.0f)\n",
                 w.name, threads, rep, ms, stats.compute_ns / 1e6,
-                stats.adversary_ns / 1e6, stats.delivery_ns / 1e6,
-                stats.fused_ns / 1e6);
+                stats.adversary_ns / 1e6, stats.delivery_ns / 1e6);
     std::fflush(stdout);
     if (ms < best.wall_ms) {
       best.wall_ms = ms;
@@ -101,7 +93,7 @@ int run_bench(int argc, char** argv) {
   const char* out_path = "BENCH_engine.json";
   std::vector<unsigned> sweep_threads;
   bool explicit_threads = false;
-  // --speedup-gate T1,T2[,min]: CI mode. Run the flood-heavy n=1024 legacy
+  // --speedup-gate T1,T2[,min]: CI mode. Run the flood-heavy n=1024
   // workload at T1 and T2 lanes and exit nonzero unless wall(T1)/wall(T2)
   // >= min (default 1.0, i.e. "T2 lanes must not be slower"). Skips the
   // full bench and writes no JSON.
@@ -220,16 +212,10 @@ int run_bench(int argc, char** argv) {
        omx::harness::Attack::None, 1024, 3},
       {"floodset/rand-omit/1024", omx::harness::Algo::FloodSet,
        omx::harness::Attack::RandomOmission, 1024, 3},
-      {"floodset/none/1024/packed", omx::harness::Algo::FloodSet,
-       omx::harness::Attack::None, 1024, 3, /*packed=*/true},
-      {"floodset/rand-omit/1024/packed", omx::harness::Algo::FloodSet,
-       omx::harness::Attack::RandomOmission, 1024, 3, /*packed=*/true},
-      {"floodset/none/1024/packed-streamed", omx::harness::Algo::FloodSet,
-       omx::harness::Attack::None, 1024, 3, /*packed=*/true,
-       /*streamed=*/true},
-      {"floodset/none/4096/packed-streamed", omx::harness::Algo::FloodSet,
-       omx::harness::Attack::None, 4096, 2, /*packed=*/true,
-       /*streamed=*/true},
+      {"floodset/none/1024/streamed", omx::harness::Algo::FloodSet,
+       omx::harness::Attack::None, 1024, 3, /*streamed=*/true},
+      {"floodset/none/4096/streamed", omx::harness::Algo::FloodSet,
+       omx::harness::Attack::None, 4096, 2, /*streamed=*/true},
       {"optimal/none/1024", omx::harness::Algo::Optimal,
        omx::harness::Attack::None, 1024, 2},
   };
@@ -242,11 +228,9 @@ int run_bench(int argc, char** argv) {
       "\"floodset/rand-omit/1024\": 5593.0, \"optimal/none/1024\": 3359.2},\n"
       "  \"hardware_threads\": " +
       std::to_string(hw) + ",\n  \"workloads\": [\n";
-  std::map<std::string, Sample> by_name;
   bool first = true;
   for (const auto& w : workloads) {
     const Sample s = run_workload(trials, w, /*threads=*/1);
-    by_name[w.name] = s;
     char buf[1024];
     std::snprintf(
         buf, sizeof(buf),
@@ -263,53 +247,19 @@ int run_bench(int argc, char** argv) {
     json += buf;
     first = false;
   }
-  json += "\n  ],\n  \"packed_speedup\": [\n";
-
-  // Legacy-vs-packed ratios on the flood-heavy workloads (same metrics by
-  // construction — tests/packed_equivalence_test.cpp pins it — so the
-  // ratio isolates the representation change).
-  first = true;
-  const std::vector<std::pair<const char*, const char*>> speedup_pairs = {
-      {"floodset/none/1024", "floodset/none/1024/packed"},
-      {"floodset/rand-omit/1024", "floodset/rand-omit/1024/packed"},
-      {"floodset/none/1024", "floodset/none/1024/packed-streamed"}};
-  for (const auto& pair : speedup_pairs) {
-    const Sample& legacy = by_name[pair.first];
-    const Sample& packed = by_name[pair.second];
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s    {\"legacy\": \"%s\", \"packed\": \"%s\", "
-        "\"compute_speedup\": %.2f, \"wall_speedup\": %.2f}",
-        first ? "" : ",\n", pair.first, pair.second,
-        static_cast<double>(legacy.stats.compute_ns) /
-            static_cast<double>(
-                packed.stats.compute_ns ? packed.stats.compute_ns : 1),
-        legacy.wall_ms / (packed.wall_ms > 0 ? packed.wall_ms : 1));
-    json += buf;
-    first = false;
-  }
   json += "\n  ],\n  \"thread_sweep\": [\n";
 
   // Thread-scaling sweep: every engine phase across the chosen lane counts.
   // stage/merge split the parallel compute phase (merge is the stitch +
-  // rack reduction + seal); fused_ms covers pipelined delivery+compute
-  // rounds; lane_busy_ms is the pool's per-lane busy time over the run, so
-  // shard imbalance is visible straight from the JSON. parallel_rounds
-  // counts rounds that actually took the sharded path (all of them, for
-  // unlimited rng budgets). The /pipeline rows rerun the flood workloads
-  // with round fusion on — identical metrics, different schedule.
+  // rack reduction + seal); lane_busy_ms is the pool's per-lane busy time
+  // over the run, so shard imbalance is visible straight from the JSON.
+  // parallel_rounds counts rounds that actually took the sharded path (all
+  // of them, for unlimited rng budgets).
   const std::vector<Workload> sweep = {
       {"floodset/none/256", omx::harness::Algo::FloodSet,
        omx::harness::Attack::None, 256, 3},
       {"floodset/none/1024", omx::harness::Algo::FloodSet,
        omx::harness::Attack::None, 1024, 2},
-      {"floodset/none/1024/pipeline", omx::harness::Algo::FloodSet,
-       omx::harness::Attack::None, 1024, 2, /*packed=*/false,
-       /*streamed=*/false, /*pipeline=*/true},
-      {"floodset/rand-omit/1024/pipeline", omx::harness::Algo::FloodSet,
-       omx::harness::Attack::RandomOmission, 1024, 2, /*packed=*/false,
-       /*streamed=*/false, /*pipeline=*/true},
       {"optimal/none/256", omx::harness::Algo::Optimal,
        omx::harness::Attack::None, 256, 3},
       {"optimal/none/1024", omx::harness::Algo::Optimal,
@@ -333,15 +283,13 @@ int run_bench(int argc, char** argv) {
           "%s    {\"name\": \"%s\", \"n\": %u, \"threads\": %u, "
           "\"wall_ms\": %.1f, \"compute_ms\": %.1f, \"stage_ms\": %.1f, "
           "\"merge_ms\": %.1f, \"adversary_ms\": %.1f, "
-          "\"delivery_ms\": %.1f, \"fused_ms\": %.1f, "
-          "\"parallel_rounds\": %llu, \"pipelined_rounds\": %llu, "
+          "\"delivery_ms\": %.1f, \"parallel_rounds\": %llu, "
           "\"rounds\": %llu, \"lane_busy_ms\": %s}",
           first ? "" : ",\n", w.name, w.n, threads, s.wall_ms,
           s.stats.compute_ns / 1e6, s.stats.stage_ns / 1e6,
           s.stats.merge_ns / 1e6, s.stats.adversary_ns / 1e6,
-          s.stats.delivery_ns / 1e6, s.stats.fused_ns / 1e6,
+          s.stats.delivery_ns / 1e6,
           static_cast<unsigned long long>(s.stats.parallel_rounds),
-          static_cast<unsigned long long>(s.stats.pipelined_rounds),
           static_cast<unsigned long long>(s.stats.rounds),
           lanes_json.c_str());
       json += buf;

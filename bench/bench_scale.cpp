@@ -1,13 +1,14 @@
-// Large-n acceptance driver for the packed representations: proves the
-// scale targets of DESIGN.md §8 actually hold on the machine at hand and
-// exits nonzero when they do not, so CI can gate on it.
+// Large-n acceptance driver for the word-packed flood views and the
+// run-length-coded gossip knowledge: proves the scale targets of DESIGN.md
+// §8 actually hold on the machine at hand and exits nonzero when they do
+// not, so CI can gate on it.
 //
 //   bench_scale [out.json] [--flood-n N] [--gossip-n N] [--flood-budget-s S]
 //
 // Two probes:
-//   * flood  — FloodSet with packed views + streamed delivery at
-//     n = 16384 (default). No inbox materialization: the O(n^2) pair work
-//     per round becomes word-wide ORs against double-buffered send logs.
+//   * flood  — FloodSet with streamed delivery at n = 16384 (default).
+//     No inbox materialization: the O(n^2) pair work per round becomes
+//     word-wide ORs against double-buffered send logs.
 //     Budget: --flood-budget-s wall-clock seconds (default 10; the
 //     "single-digit seconds" acceptance bar with a little CI headroom).
 //     Exceeding the budget or deciding wrong is a hard failure.
@@ -88,11 +89,10 @@ int run_scale(int argc, char** argv) {
     cfg.inputs = omx::harness::InputPattern::Random;
     cfg.seed = 1;
     cfg.threads = 1;
-    cfg.packed = true;
     cfg.streamed = true;
     omx::sim::EngineStats stats;
     cfg.engine_stats = &stats;
-    std::printf("flood: packed+streamed floodset n=%u t=%u (budget %.0fs)\n",
+    std::printf("flood: streamed floodset n=%u t=%u (budget %.0fs)\n",
                 flood_n, cfg.t, flood_budget_s);
     std::fflush(stdout);
     omx::harness::Sweep sweep;
@@ -132,13 +132,12 @@ int run_scale(int argc, char** argv) {
 
   // --- gossip probe ------------------------------------------------------
   if (gossip_n > 0) {
-    std::printf("gossip: packed doubling-gossip n=%u window=%u "
+    std::printf("gossip: doubling-gossip n=%u window=%u "
                 "(materialized delivery)\n", gossip_n, gossip_window);
     std::fflush(stdout);
     omx::baselines::DoublingConfig cfg;
     cfg.t = 0;
     cfg.initial_contacts = gossip_window;
-    cfg.packed = true;
     const auto inputs =
         omx::harness::make_inputs(omx::harness::InputPattern::Random,
                                   gossip_n, 7);

@@ -11,8 +11,7 @@ BenOrMachine::BenOrMachine(BenOrConfig config,
                            std::vector<std::uint8_t> inputs)
     : cfg_(config),
       n_(static_cast<std::uint32_t>(inputs.size())),
-      fallback_(static_cast<std::uint32_t>(inputs.size()), config.t,
-                config.packed) {
+      fallback_(static_cast<std::uint32_t>(inputs.size()), config.t) {
   OMX_REQUIRE(n_ >= 1, "need at least one process");
   st_.resize(n_);
   for (std::uint32_t p = 0; p < n_; ++p) {
@@ -53,24 +52,19 @@ void BenOrMachine::round(sim::ProcessId p, sim::RoundIo<core::Msg>& io) {
   const std::uint32_t r = cur_round_;
 
   if (r > fallback_start_) {
-    // Fallback regime: decision gossip still short-circuits.
-    auto& scratch = scratch_[io.lane()];
-    scratch.clear();
-    bool gossip_decided = false;
-    io.for_each_in([&](sim::ProcessId from, const core::Msg& payload) {
-      if (gossip_decided) return;
+    // Fallback regime: decision gossip still short-circuits (a process
+    // that adopts it terminates, so whatever it merged before is unused).
+    io.for_each_in([&](sim::ProcessId, const core::Msg& payload) {
+      if (s.terminated) return;
       if (const auto* gm = std::get_if<core::GossipMsg>(&payload)) {
-        if (gm->value >= 0 && !s.terminated) {
-          decide(p, static_cast<std::uint8_t>(gm->value));
-          gossip_decided = true;
-        }
+        if (gm->value >= 0) decide(p, static_cast<std::uint8_t>(gm->value));
       } else {
-        scratch.push_back(core::In{from, &payload});
+        fallback_.consume_one(p, payload);
       }
     });
-    if (gossip_decided) return;
+    if (s.terminated) return;
     core::IoOutbox out(io);
-    fallback_.step(p, r - fallback_start_, scratch, out);
+    fallback_.step(p, r - fallback_start_, out);
     if (fallback_.has_decision(p)) decide(p, fallback_.decision(p));
     return;
   }
@@ -119,10 +113,8 @@ void BenOrMachine::round(sim::ProcessId p, sim::RoundIo<core::Msg>& io) {
   } else {
     // r == fallback_start_: register and start flooding.
     fallback_.set_participant(p, s.b);
-    auto& scratch = scratch_[io.lane()];
-    scratch.clear();
     core::IoOutbox out(io);
-    fallback_.step(p, 0, scratch, out);
+    fallback_.step(p, 0, out);
   }
 }
 

@@ -32,8 +32,6 @@ struct BenOrConfig {
   std::uint32_t t = 0;
   /// Voting rounds before falling back (0 = auto: 4·(t/√n + 1)·ceil(log2 n)).
   std::uint32_t round_cap = 0;
-  /// Word-packed fallback-tail representation (bit-identical, faster).
-  bool packed = false;
 };
 
 class BenOrMachine final : public sim::Machine<core::Msg>,
@@ -47,7 +45,6 @@ class BenOrMachine final : public sim::Machine<core::Msg>,
   core::MemberOutcome outcome(sim::ProcessId p) const;
 
   std::uint32_t num_processes() const override { return n_; }
-  void set_lanes(unsigned lanes) override { scratch_.resize(lanes); }
   void begin_round(std::uint32_t round) override;
   void round(sim::ProcessId p, sim::RoundIo<core::Msg>& io) override;
   bool finished() const override;
@@ -87,7 +84,6 @@ class BenOrMachine final : public sim::Machine<core::Msg>,
   bool votes_fresh_ = false;
   std::vector<PState> st_;
   core::FloodFallback fallback_;
-  std::vector<std::vector<core::In>> scratch_{1};  // one buffer per lane
   const sim::FaultState* faults_ = nullptr;
 };
 

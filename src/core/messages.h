@@ -14,7 +14,6 @@
 
 #include "core/packed_view.h"
 #include "support/bits.h"
-#include "support/cow_vec.h"
 #include "support/run_set.h"
 
 namespace omx::core {
@@ -82,42 +81,23 @@ struct DecisionMsg {
   std::uint64_t bit_size() const { return 1; }
 };
 
-/// Flood-set fallback: (process id, input bit) pairs newly learned.
-struct FloodPair {
-  std::uint32_t id;
-  std::uint8_t value;
-};
-struct FloodMsg {
-  /// Copy-on-write: a flooded pair list is fanned out to n-1 receivers by
-  /// value, and a deep copy per receiver would be Θ(n²) bytes per round.
-  support::CowVec<FloodPair> pairs;
-  std::uint64_t bit_size() const {
-    std::uint64_t bits = 1;
-    for (const auto& p : pairs) bits += field_bits(p.id) + 1;
-    return bits;
-  }
-};
-
-/// Packed flood-set wire form: the same logical pair set as a FloodMsg,
+/// Flood-set fallback: the (process id, input bit) pairs newly learned,
 /// carried as two word-packed masks behind one shared allocation. bit_size
-/// is cached at construction and equals the legacy billing for the same id
-/// set (1 + sum of field_bits(id) + 1), so packed runs are bit-identical
-/// to legacy runs in Metrics and trace bytes.
+/// is cached at construction and bills the pairs one by one: 1 + sum over
+/// the ids of (field_bits(id) + 1).
 struct PackedFloodMsg {
   std::shared_ptr<const PackedFlood> view;
   std::uint64_t bit_size() const { return view == nullptr ? 1 : view->bits; }
 };
 
-/// Run-length-coded gossip delta: ids { (x + rot) mod n : x in *delta }
-/// with their input bits implied by the receiver's global input lookup —
-/// the packed analogue of a doubling-gossip FloodMsg reply. bit_size and
-/// the logical pair count are cached at construction (shifted_pair_bits),
-/// matching the legacy reply billing pair-for-pair. An empty delta is the
-/// 1-bit sign-of-life heartbeat, exactly like an empty FloodMsg.
+/// Doubling-gossip reply, run-length coded: ids { (x + rot) mod n : x in
+/// *delta } with their input bits implied by the receiver's global input
+/// lookup. bit_size is cached at construction (shifted_pair_bits) and
+/// bills the pairs exactly like a PackedFloodMsg carrying the same ids. An
+/// empty delta is the 1-bit sign-of-life heartbeat.
 struct RunMsg {
   support::RunSetPtr delta;
   std::uint32_t rot = 0;
-  std::uint32_t pairs = 0;
   std::uint64_t bits = 1;
   std::uint64_t bit_size() const { return bits; }
 };
@@ -142,8 +122,8 @@ struct GossipMsg {
 };
 
 using Msg = std::variant<RelayPush, RelayAck, RelayShare, SpreadMsg,
-                         DecisionMsg, FloodMsg, GossipMsg, InquireMsg,
-                         ValueMsg, PackedFloodMsg, RunMsg>;
+                         DecisionMsg, GossipMsg, InquireMsg, ValueMsg,
+                         PackedFloodMsg, RunMsg>;
 
 std::uint64_t bit_size(const Msg& m);
 

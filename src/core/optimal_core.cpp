@@ -452,9 +452,10 @@ void OptimalCore::step(std::uint32_t m, std::span<const In> inbox,
   }
 
   if (cur.kind == Kind::Fallback) {
-    // DecideCollect produced nothing, and within the fallback the helper
-    // consumes + produces in one call.
-    fallback_.step(m, cur.fallback_round, inbox, send);
+    // DecideCollect produced nothing; within the fallback every receipt is
+    // the helper's.
+    for (const In& in : inbox) fallback_.consume_one(m, *in.msg);
+    fallback_.step(m, cur.fallback_round, send);
     if (fallback_.has_decision(m)) {
       decide(m, fallback_.decision(m));
     }

@@ -4,10 +4,8 @@
 // ids whose input bit has been learned, `value` carries the bit (valid only
 // where known). Set-union of two views is a word-wide OR; majority
 // thresholding is two popcounts. The wire form (PackedFlood, shared
-// immutable) carries both masks plus a bit size pre-computed to match the
-// legacy FloodMsg billing exactly: 1 + sum over known ids of
-// (field_bits(id) + 1) — so packed and legacy runs are bit-identical in
-// Metrics and traces, not merely equivalent.
+// immutable) carries both masks plus a pre-computed bit size that bills
+// the pairs one by one: 1 + sum over known ids of (field_bits(id) + 1).
 #pragma once
 
 #include <array>
@@ -23,7 +21,8 @@
 namespace omx::core {
 
 /// Immutable wire blob of a packed view: one allocation shared by every
-/// fan-out copy of a broadcast (the packed analogue of CowVec<FloodPair>).
+/// fan-out copy of a broadcast, so fanning a view out to n-1 receivers
+/// copies a pointer, not the pairs.
 struct PackedFlood {
   /// Views holding at most this many pairs are stored inline (no dense
   /// word vectors at all). The first flood round is the hot case: every
@@ -34,7 +33,7 @@ struct PackedFlood {
   static constexpr std::uint32_t kSparseMax = 4;
 
   std::uint32_t n = 0;
-  std::uint64_t bits = 1;  // legacy-equivalent wire size, cached
+  std::uint64_t bits = 1;  // wire size, cached
   /// > 0: the view is the `sparse_count` pairs in `sparse` (id << 1 | bit,
   /// ascending id) and the dense vectors below are empty.
   std::uint32_t sparse_count = 0;
@@ -131,8 +130,8 @@ class PackedView {
     return learned;
   }
 
-  /// Snapshot this view into a shared immutable wire blob, with the
-  /// legacy-equivalent bit size computed once (O(words)).
+  /// Snapshot this view into a shared immutable wire blob, with its bit
+  /// size computed once (O(words)).
   std::shared_ptr<const PackedFlood> make_blob() const {
     auto blob = std::make_shared<PackedFlood>();
     blob->n = n_;

@@ -275,17 +275,15 @@ void ParamMachine::round(sim::ProcessId p, sim::RoundIo<Msg>& io) {
   if (s.terminated) return;
   const Phase cur = phase_of(cur_round_);
 
-  auto& inbox_scratch = inner_inbox_[io.lane()];
   if (cur.kind == Kind::Fallback) {
-    inbox_scratch.clear();
-    for (const auto& msg : io.inbox()) {
-      inbox_scratch.push_back(In{msg.from, &msg.payload});
-    }
+    fallback_.consume_stream(p, io);
     IoOutbox out(io);
-    fallback_.step(p, cur.fallback_round, inbox_scratch, out);
+    fallback_.step(p, cur.fallback_round, out);
     if (fallback_.has_decision(p)) decide(p, fallback_.decision(p));
     return;
   }
+
+  auto& inbox_scratch = inner_inbox_[io.lane()];
 
   if (cur.kind == Kind::Inner) {
     const std::uint32_t lo = cur.phase * group_width_;

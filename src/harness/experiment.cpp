@@ -237,10 +237,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   OMX_REQUIRE(!cfg.streamed || flood_path,
               "streamed delivery needs a for_each_in() machine "
               "(floodset/benor)");
-  OMX_REQUIRE(!cfg.pipeline || flood_path,
-              "round pipelining is implemented for floodset/benor only");
-  OMX_REQUIRE(!cfg.pipeline || !cfg.streamed,
-              "round pipelining requires materialized delivery");
   auto inputs = cfg.explicit_inputs.empty()
                     ? make_inputs(cfg.inputs, cfg.n, cfg.seed)
                     : cfg.explicit_inputs;
@@ -284,8 +280,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       break;
     }
     case Algo::FloodSet: {
-      auto m = std::make_unique<baselines::FloodSetMachine>(cfg.t, inputs,
-                                                            cfg.packed);
+      auto m = std::make_unique<baselines::FloodSetMachine>(cfg.t, inputs);
       flood = m.get();
       schedule_hint = m->scheduled_rounds();
       machine = std::move(m);
@@ -294,7 +289,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     case Algo::BenOr: {
       baselines::BenOrConfig mc;
       mc.t = cfg.t;
-      mc.packed = cfg.packed;
       auto m = std::make_unique<baselines::BenOrMachine>(mc, inputs);
       benor = m.get();
       probe = m.get();
@@ -316,7 +310,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (cfg.streamed) {
     opts.delivery = sim::Runner<Msg>::Options::Delivery::kStreamed;
   }
-  opts.pipeline = cfg.pipeline;
   sim::Runner<Msg> runner(cfg.n, cfg.t, &ledger, adversary.get(), opts);
 
   // Wire termination to the non-faulty set (the spec's termination clause).

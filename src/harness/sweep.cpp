@@ -288,7 +288,6 @@ std::string serialize_config(const ExperimentConfig& cfg) {
   os << "threads=" << cfg.threads << "\n";
   if (cfg.packed) os << "packed=1\n";
   if (cfg.streamed) os << "streamed=1\n";
-  if (cfg.pipeline) os << "pipeline=1\n";
   if (!cfg.trace_path.empty()) os << "trace_path=" << cfg.trace_path << "\n";
   if (cfg.trace_packed) os << "trace_packed=1\n";
   os << "params.delta_factor=" << format_double(cfg.params.delta_factor)
@@ -365,7 +364,8 @@ bool parse_config(const std::string& text, ExperimentConfig* out,
     } else if (k == "streamed") {
       cfg.streamed = v == "1" || v == "true";
     } else if (k == "pipeline") {
-      cfg.pipeline = v == "1" || v == "true";
+      // Removed round-pipelining switch: older checkpoints and .repro
+      // files may still carry the line, and it never changed a result.
     } else if (k == "trace_path") {
       cfg.trace_path = v;
     } else if (k == "trace_packed") {
@@ -394,14 +394,12 @@ std::uint64_t config_hash(const ExperimentConfig& cfg) {
   // The worker-lane count cannot change a trial's outcome (the engine is
   // bit-identical at every setting), so it must not change the key either:
   // a sweep resumed with a different --threads still matches its records.
-  // Same for the trace sink (observation, not behaviour) and for round
-  // pipelining (a scheduling choice with bit-identical results).
+  // Same for the trace sink (observation, not behaviour).
   ExperimentConfig canon = cfg;
   canon.threads = 1;
   canon.engine_stats = nullptr;
   canon.trace_path.clear();
   canon.trace_packed = false;  // storage format, not behaviour
-  canon.pipeline = false;
   return fnv1a(serialize_config(canon));
 }
 

@@ -54,10 +54,6 @@
 //     pool. Streamed delivery produces the same Metrics as materialized
 //     delivery; it does not support tracing or inbox() spans (the engine
 //     enforces both).
-//   * deliver_fused() — materialized delivery whose scatter pass also runs
-//     a caller-supplied per-lane compute continuation (the engine's round
-//     pipelining: round k+1's compute shard reads lane-local inboxes the
-//     same lane just scattered).
 //
 // The adversary phase gets sharded helpers too: visit_index_range() walks
 // any slice of the logical index space without the locate() cursor, and
@@ -72,6 +68,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <new>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -540,7 +537,7 @@ class MessagePlane {
       count_range(0, n_);
     }
     build_offsets();
-    staging_.resize(sealed_ - dropped);
+    staging_.reserve(sealed_ - dropped);
     if (par) {
       pool->run([&](unsigned w) {
         scatter_range(dest_lo(w, lanes), dest_lo(w + 1, lanes));
@@ -548,48 +545,9 @@ class MessagePlane {
     } else {
       scatter_range(0, n_);
     }
+    staging_.live = std::max(staging_.live, sealed_ - dropped);
     inbox_store_.swap(staging_);
     inbox_offsets_.swap(scratch_offsets_);
-  }
-
-  /// Materialized delivery fused with the next round's compute phase (the
-  /// engine's pipelining). The scatter job's lane w, after writing every
-  /// inbox in its destination range, immediately runs compute(w, lo, hi) —
-  /// which may read those inboxes via staged_inbox(p) for p in [lo, hi).
-  /// Receiver ranges equal compute shards, so no lane reads another lane's
-  /// staging slice. Inboxes/metrics are bit-identical to deliver().
-  template <class ComputeFn>
-  void deliver_fused(Metrics& m, support::ThreadPool& pool, unsigned lanes,
-                     ComputeFn&& compute) {
-    check_sealed();
-    m.messages += sealed_;
-    m.comm_bits += wire_bits_;
-    const std::size_t dropped = drops_.count();
-    m.omitted += dropped;
-
-    counts_.assign(n_, 0);
-    pool.run([&](unsigned w) {
-      count_range(dest_lo(w, lanes), dest_lo(w + 1, lanes));
-    });
-    build_offsets();
-    staging_.resize(sealed_ - dropped);
-    pool.run([&](unsigned w) {
-      const ProcessId lo = dest_lo(w, lanes);
-      const ProcessId hi = dest_lo(w + 1, lanes);
-      scatter_range(lo, hi);
-      compute(w, lo, hi);
-    });
-    inbox_store_.swap(staging_);
-    inbox_offsets_.swap(scratch_offsets_);
-  }
-
-  /// Inbox of p inside a deliver_fused compute continuation: the slice the
-  /// current lane just scattered (identical to what inbox(p) returns after
-  /// the fused call completes).
-  std::span<const Message<P>> staged_inbox(ProcessId p) const {
-    return std::span<const Message<P>>(
-        staging_.data() + scratch_offsets_[p],
-        scratch_offsets_[p + 1] - scratch_offsets_[p]);
   }
 
   /// Streamed delivery: aggregate accounting (identical Metrics totals to
@@ -666,7 +624,7 @@ class MessagePlane {
               "machine requires materialized delivery "
               "(Runner Options::delivery)");
     return std::span<const Message<P>>(
-        inbox_store_.data() + inbox_offsets_[p],
+        inbox_store_.data + inbox_offsets_[p],
         inbox_offsets_[p + 1] - inbox_offsets_[p]);
   }
 
@@ -841,9 +799,10 @@ class MessagePlane {
   /// global send order, so for a fixed receiver the cursor advances in
   /// send order — identical inboxes at every lane count. Payloads are
   /// copied (never moved): a broadcast payload is shared by several
-  /// receivers, possibly on different lanes. Slots are overwritten by
-  /// assignment, not reconstructed, so a payload holding a heap buffer
-  /// (e.g. a vector) reuses last round's capacity in place.
+  /// receivers, possibly on different lanes. Live slots are overwritten
+  /// by assignment, so a payload holding a heap buffer (e.g. a vector)
+  /// reuses last round's capacity in place; slots past the live prefix
+  /// are constructed here, by the lane that owns them.
   void scatter_range(ProcessId lo, ProcessId hi) {
     for (const WireGroup& g : wire_) {
       const std::uint32_t fan = fanout(g);
@@ -864,10 +823,16 @@ class MessagePlane {
         if (to < lo || to >= hi) continue;
         const std::uint64_t i = g.base + r;
         if (drops_.test(static_cast<std::size_t>(i))) continue;
-        Message<P>& dst = staging_[counts_[to]++];
-        dst.from = g.from;
-        dst.to = to;
-        dst.payload = *g.payload;
+        const std::size_t slot = counts_[to]++;
+        if (slot < staging_.live) {
+          Message<P>& dst = staging_.data[slot];
+          dst.from = g.from;
+          dst.to = to;
+          dst.payload = *g.payload;
+        } else {
+          ::new (static_cast<void*>(staging_.data + slot))
+              Message<P>{g.from, to, *g.payload};
+        }
       }
     }
   }
@@ -959,8 +924,47 @@ class MessagePlane {
   std::vector<std::size_t> scratch_offsets_;
   std::vector<ListedEntry> listed_;
   std::vector<std::size_t> listed_offsets_;
-  std::vector<Message<P>> staging_;
-  std::vector<Message<P>> inbox_store_;
+  /// Inbox storage: raw memory whose first `live` slots hold constructed
+  /// messages. Growing allocates untouched memory and scatter_range()
+  /// constructs each new slot on the lane that owns it, so the page faults
+  /// of a grown buffer (tens of MB per round at n=1024) are taken by all
+  /// lanes instead of serially by one thread before the scatter. Slots
+  /// past the current round's messages keep their stale contents until a
+  /// later round overwrites them or the buffer grows.
+  struct Slots {
+    Message<P>* data = nullptr;
+    std::size_t cap = 0;
+    std::size_t live = 0;
+
+    Slots() = default;
+    Slots(const Slots&) = delete;
+    Slots& operator=(const Slots&) = delete;
+    ~Slots() { release(); }
+
+    void swap(Slots& o) noexcept {
+      std::swap(data, o.data);
+      std::swap(cap, o.cap);
+      std::swap(live, o.live);
+    }
+
+    void release() {
+      for (std::size_t i = 0; i < live; ++i) data[i].~Message<P>();
+      ::operator delete(static_cast<void*>(data));
+      data = nullptr;
+      cap = live = 0;
+    }
+    /// Room for n slots; the contents are dropped when the buffer grows.
+    void reserve(std::size_t n) {
+      if (n <= cap) return;
+      const std::size_t grown = std::max(n, cap + cap / 2);
+      release();
+      data = static_cast<Message<P>*>(
+          ::operator new(grown * sizeof(Message<P>)));
+      cap = grown;
+    }
+  };
+  Slots staging_;
+  Slots inbox_store_;
   std::vector<std::size_t> inbox_offsets_;
   std::vector<std::vector<ScanHit>> scan_scratch_;
 };

@@ -40,18 +40,6 @@
 // shards by destination range (sim/message_plane.h) — all bit-identical to
 // the serial walks.
 //
-// With Options::pipeline, round k+1's computation phase is *fused* into
-// round k's delivery: each delivery lane, after scattering the inboxes of
-// its destination range, immediately steps those same processes through
-// round k+1 (destination ranges equal compute shards, so a lane only reads
-// inboxes it just wrote). This is only valid for machines whose phase 1
-// reads the prior round's inbox and per-process state (FloodSet, Ben-Or —
-// anything that runs sharded today), and the engine only engages it when
-// the round would have run sharded anyway, delivery is materialized, and
-// tracing is off (the trace format's canonical per-round event order cannot
-// interleave two rounds). Decisions, Metrics, and rng accounting are
-// bit-identical with the flag on or off.
-//
 // The run ends when the machine reports finished() or max_rounds elapses
 // (the latter flagged in the result so tests can fail on non-termination).
 #pragma once
@@ -90,10 +78,10 @@ struct RunResult {
 /// when not. compute_ns covers all of phase 1; in sharded rounds it splits
 /// into stage_ns (parallel stepping into staged arenas) and merge_ns
 /// (stitching staged arenas onto the wire + reducing the rng racks + the
-/// seal). Pipelined rounds bill their fused delivery+compute to fused_ns
-/// (neither compute_ns nor delivery_ns sees them). lane_busy_ns is the
-/// pool's per-lane busy time over the run (all phases), so stage/merge
-/// imbalance across lanes is visible without a profiler.
+/// seal). lane_busy_ns is the pool's per-lane busy time over the run (all
+/// phases), so stage/merge imbalance across lanes is visible without a
+/// profiler. fused_ns is always 0: it billed the removed round-pipelining
+/// mode and is kept only because external drivers still read the field.
 struct EngineStats {
   std::uint64_t rounds = 0;
   std::uint64_t compute_ns = 0;
@@ -101,9 +89,8 @@ struct EngineStats {
   std::uint64_t delivery_ns = 0;
   std::uint64_t stage_ns = 0;
   std::uint64_t merge_ns = 0;
-  std::uint64_t fused_ns = 0;         // pipelined delivery+compute rounds
+  std::uint64_t fused_ns = 0;         // always 0 (see above)
   std::uint64_t parallel_rounds = 0;  // rounds that took the sharded path
-  std::uint64_t pipelined_rounds = 0; // rounds whose compute rode a delivery
   std::vector<std::uint64_t> lane_busy_ns;  // per pool lane, whole run
   unsigned threads = 1;               // resolved worker-lane count
 };
@@ -146,13 +133,6 @@ class Runner {
     ///     constructor rejects the combination).
     enum class Delivery { kMaterialized, kStreamed };
     Delivery delivery = Delivery::kMaterialized;
-    /// Fuse round k+1's computation into round k's delivery (see the header
-    /// comment). Requires threads > 1 and materialized delivery; silently
-    /// inert when tracing is on (the canonical trace order cannot
-    /// interleave rounds), when delivery is streamed, or in rounds that
-    /// fall back to serial stepping near rng-budget exhaustion. Results are
-    /// bit-identical with the flag on or off.
-    bool pipeline = false;
   };
 
   Runner(std::uint32_t n, std::uint32_t fault_budget, rng::Ledger* ledger,
@@ -244,85 +224,74 @@ class Runner {
     const bool streamed = options_.delivery == Options::Delivery::kStreamed;
     const MessagePlane<P>* const stream = streamed ? &plane : nullptr;
     const std::span<const Message<P>> no_inbox;
-    // Pipelining preconditions that hold for the whole run; the per-round
-    // racked-admissibility check happens at each fuse point.
-    const bool pipeline_capable =
-        options_.pipeline && lanes_ > 1 && !streamed && tracer == nullptr;
 
     std::uint32_t round = 0;
-    // True when a fused delivery already ran this round's computation
-    // phase: the loop skips straight to the adversary phase.
-    bool staged_ahead = false;
     for (;;) {
-      if (!staged_ahead) {
-        if (machine.finished()) break;
-        if (round >= options_.max_rounds) {
-          result.hit_round_cap = true;
-          break;
-        }
-        if (watchdog && Clock::now() >= give_up_at) {
-          result.hit_deadline = true;
-          break;
-        }
-        ledger_->begin_round_window();
-        machine.begin_round(round);
-        if (tracer != nullptr) {
-          tracer->emit(trace::Event{round, trace::kRoundBegin, 0, 0, 0, 0});
-        }
+      if (machine.finished()) break;
+      if (round >= options_.max_rounds) {
+        result.hit_round_cap = true;
+        break;
+      }
+      if (watchdog && Clock::now() >= give_up_at) {
+        result.hit_deadline = true;
+        break;
+      }
+      ledger_->begin_round_window();
+      machine.begin_round(round);
+      if (tracer != nullptr) {
+        tracer->emit(trace::Event{round, trace::kRoundBegin, 0, 0, 0, 0});
+      }
 
-        // Phase 1: local computation (+ queuing of sends). Sharded when the
-        // runner has lanes and the ledger proves budget checks cannot
-        // depend on billing order this round; serial otherwise.
-        if (stats) t0 = Clock::now();
-        plane.begin_round(round);
-        const bool sharded =
-            lanes_ > 1 &&
-            ledger_->racked_admissible(options_.rng_slack_calls,
-                                       options_.rng_slack_bits);
-        if (sharded) {
-          ledger_->begin_racked_phase();
-          pool_->run([&](unsigned w) {
-            SendLog<P>& log = *bank_ptrs_[round & 1][w];
-            log.clear();
-            log.set_round(round);
-            const auto lo = static_cast<ProcessId>(
-                (std::uint64_t{n_} * w) / lanes_);
-            const auto hi = static_cast<ProcessId>(
-                (std::uint64_t{n_} * (w + 1)) / lanes_);
-            for (ProcessId p = lo; p < hi; ++p) {
-              RoundIo<P> io(round, p,
-                            streamed ? no_inbox : plane.inbox(p), &log,
-                            &ledger_->source(p), w, stream);
-              machine.round(p, io);
-            }
-          });
-          if (stats) t1 = Clock::now();
-          // Shard order == ascending process-id order: the wire ends up
-          // byte-identical to a serial round.
-          plane.stitch(bank_ptrs_[round & 1]);
-          ledger_->end_racked_phase(options_.rng_slack_calls,
-                                    options_.rng_slack_bits);
-        } else {
-          for (ProcessId p = 0; p < n_; ++p) {
-            RoundIo<P> io(round, p,
-                          streamed ? no_inbox : plane.inbox(p),
-                          &plane.log(), &ledger_->source(p), 0, stream);
+      // Phase 1: local computation (+ queuing of sends). Sharded when the
+      // runner has lanes and the ledger proves budget checks cannot depend
+      // on billing order this round; serial otherwise.
+      if (stats) t0 = Clock::now();
+      plane.begin_round(round);
+      const bool sharded =
+          lanes_ > 1 &&
+          ledger_->racked_admissible(options_.rng_slack_calls,
+                                     options_.rng_slack_bits);
+      if (sharded) {
+        ledger_->begin_racked_phase();
+        pool_->run([&](unsigned w) {
+          SendLog<P>& log = *bank_ptrs_[round & 1][w];
+          log.clear();
+          log.set_round(round);
+          const auto lo =
+              static_cast<ProcessId>((std::uint64_t{n_} * w) / lanes_);
+          const auto hi =
+              static_cast<ProcessId>((std::uint64_t{n_} * (w + 1)) / lanes_);
+          for (ProcessId p = lo; p < hi; ++p) {
+            RoundIo<P> io(round, p, streamed ? no_inbox : plane.inbox(p),
+                          &log, &ledger_->source(p), w, stream);
             machine.round(p, io);
           }
+        });
+        if (stats) t1 = Clock::now();
+        // Shard order == ascending process-id order: the wire ends up
+        // byte-identical to a serial round.
+        plane.stitch(bank_ptrs_[round & 1]);
+        ledger_->end_racked_phase(options_.rng_slack_calls,
+                                  options_.rng_slack_bits);
+      } else {
+        for (ProcessId p = 0; p < n_; ++p) {
+          RoundIo<P> io(round, p, streamed ? no_inbox : plane.inbox(p),
+                        &plane.log(), &ledger_->source(p), 0, stream);
+          machine.round(p, io);
         }
-        plane.seal();
-        if (stats && sharded) {
-          stats->stage_ns += static_cast<std::uint64_t>(
-              std::chrono::nanoseconds(t1 - t0).count());
-          stats->merge_ns += static_cast<std::uint64_t>(
-              std::chrono::nanoseconds(Clock::now() - t1).count());
-          ++stats->parallel_rounds;
-        }
-        if (tracer != nullptr) tap.drain(round, *tracer);
-        if (stats) {
-          stats->compute_ns += static_cast<std::uint64_t>(
-              std::chrono::nanoseconds(Clock::now() - t0).count());
-        }
+      }
+      plane.seal();
+      if (stats && sharded) {
+        stats->stage_ns += static_cast<std::uint64_t>(
+            std::chrono::nanoseconds(t1 - t0).count());
+        stats->merge_ns += static_cast<std::uint64_t>(
+            std::chrono::nanoseconds(Clock::now() - t1).count());
+        ++stats->parallel_rounds;
+      }
+      if (tracer != nullptr) tap.drain(round, *tracer);
+      if (stats) {
+        stats->compute_ns += static_cast<std::uint64_t>(
+            std::chrono::nanoseconds(Clock::now() - t0).count());
       }
 
       // Phase 2: adversary intervention (full information), then a
@@ -352,61 +321,17 @@ class Runner {
       }
 
       // Phase 3: delivery + accounting. Sent-but-omitted messages still
-      // count toward communication (the sender spent the bits). When
-      // pipelining, fuse round+1's computation into the scatter pass —
-      // legal exactly when the loop top would have run round+1 sharded
-      // (same finished/cap/deadline/racked checks, evaluated on identical
-      // state: finished() is fixed once phase 1 ran, and the adversary
-      // cannot change it).
+      // count toward communication (the sender spent the bits).
       if (stats) t0 = Clock::now();
-      staged_ahead = false;
-      const std::uint32_t next = round + 1;
-      const bool fuse =
-          pipeline_capable && !machine.finished() &&
-          next < options_.max_rounds &&
-          !(watchdog && Clock::now() >= give_up_at) &&
-          ledger_->racked_admissible(options_.rng_slack_calls,
-                                     options_.rng_slack_bits);
-      if (fuse) {
-        ledger_->begin_round_window();
-        machine.begin_round(next);
-        ledger_->begin_racked_phase();
-        plane.deliver_fused(
-            m, *pool_, lanes_,
-            [&](unsigned w, ProcessId lo, ProcessId hi) {
-              SendLog<P>& log = *bank_ptrs_[next & 1][w];
-              log.clear();
-              log.set_round(next);
-              for (ProcessId p = lo; p < hi; ++p) {
-                RoundIo<P> io(next, p, plane.staged_inbox(p), &log,
-                              &ledger_->source(p), w, nullptr);
-                machine.round(p, io);
-              }
-            });
-        ledger_->end_racked_phase(options_.rng_slack_calls,
-                                  options_.rng_slack_bits);
-        plane.begin_round(next);
-        plane.stitch(bank_ptrs_[next & 1]);
-        plane.seal();
-        if (stats) {
-          stats->fused_ns += static_cast<std::uint64_t>(
-              std::chrono::nanoseconds(Clock::now() - t0).count());
-          ++stats->pipelined_rounds;
-          ++stats->parallel_rounds;
-          ++stats->rounds;
-        }
-        staged_ahead = true;
+      if (streamed) {
+        plane.deliver_streamed(m, pool_.get(), lanes_);
       } else {
-        if (streamed) {
-          plane.deliver_streamed(m, pool_.get(), lanes_);
-        } else {
-          plane.deliver(m, tracer, pool_.get(), lanes_);
-        }
-        if (stats) {
-          stats->delivery_ns += static_cast<std::uint64_t>(
-              std::chrono::nanoseconds(Clock::now() - t0).count());
-          ++stats->rounds;
-        }
+        plane.deliver(m, tracer, pool_.get(), lanes_);
+      }
+      if (stats) {
+        stats->delivery_ns += static_cast<std::uint64_t>(
+            std::chrono::nanoseconds(Clock::now() - t0).count());
+        ++stats->rounds;
       }
       ++round;
       m.rounds = round;

@@ -42,10 +42,13 @@ TEST(Messages, DecisionIsOneBit) {
 }
 
 TEST(Messages, FloodPairsBillIdPlusBit) {
-  FloodMsg m;
-  m.pairs.push_back({9, 1});  // 4 + 1
-  m.pairs.push_back({0, 0});  // 1 + 1
+  // 1 + sum over the pairs of (field_bits(id) + 1).
+  PackedView v(16);
+  v.add(9, 1);  // 4 + 1
+  v.add(0, 0);  // 1 + 1
+  const PackedFloodMsg m{v.make_blob()};
   EXPECT_EQ(m.bit_size(), 1u + 5u + 2u);
+  EXPECT_EQ(m.bit_size(), 1 + (field_bits(9) + 1) + (field_bits(0) + 1));
 }
 
 TEST(Messages, InquireIsOneBit) {

@@ -24,14 +24,13 @@ void drive(FloodFallback& fb, std::uint32_t n,
   for (std::uint32_t r = 0; r < fb.total_rounds(); ++r) {
     next_wire.clear();
     for (std::uint32_t m = 0; m < n; ++m) {
-      std::vector<In> inbox;
       for (const auto& w : wire) {
-        if (w.to == m) inbox.push_back(In{w.from, &w.msg});
+        if (w.to == m) fb.consume_one(m, w.msg);
       }
       FnOutbox out(n, m, [&](std::uint32_t to, Msg msg) {
         if (!drop(m, to, r)) next_wire.push_back(Wire{m, to, std::move(msg)});
       });
-      fb.step(m, r, inbox, out);
+      fb.step(m, r, out);
     }
     wire.swap(next_wire);
   }
@@ -118,9 +117,8 @@ TEST(FloodFallback, ValidityUnderFaultyDissenters) {
 
 TEST(FloodFallback, StepValidatesRoundRange) {
   FloodFallback fb(2, 0);
-  std::vector<In> empty;
   FnOutbox out(2, 0, [](std::uint32_t, Msg) {});
-  EXPECT_THROW(fb.step(0, fb.total_rounds(), empty, out), PreconditionError);
+  EXPECT_THROW(fb.step(0, fb.total_rounds(), out), PreconditionError);
 }
 
 TEST(FloodFallback, DecisionQueryRequiresDecision) {

@@ -106,7 +106,7 @@ TEST(PackedView, EmptyViewBlobIsOneBit) {
   EXPECT_FALSE(v.full());
   EXPECT_EQ(v.known_count(), 0u);
   const auto blob = v.make_blob();
-  EXPECT_EQ(blob->bits, 1u);  // the legacy empty FloodMsg also bills 1 bit
+  EXPECT_EQ(blob->bits, 1u);  // framing only, like any empty flood message
 }
 
 TEST(PackedView, AddAndReadBack) {
@@ -134,7 +134,7 @@ TEST(PackedView, AllKnownShortCircuitsAndCounts) {
   EXPECT_TRUE(v.full());
   EXPECT_EQ(v.ones(), ones);
   EXPECT_EQ(v.zeros(), n - ones);
-  // Blob billing == legacy FloodMsg billing for the same pair set.
+  // Blob billing == 1 + sum of (field_bits(id) + 1) over the pair set.
   std::uint64_t brute = 1;
   for (std::uint32_t id = 0; id < n; ++id) {
     brute += field_bits(id) + 1;
@@ -156,7 +156,7 @@ TEST(PackedView, MergeTracksFreshAndIgnoresKnownIds) {
 
   EXPECT_EQ(a.merge_from(*blob, &fresh), 2u);
   EXPECT_EQ(a.known_count(), 4u);
-  EXPECT_EQ(a.value_of(1), 1u);  // first-learned value wins (legacy learn())
+  EXPECT_EQ(a.value_of(1), 1u);  // the first-learned value wins
   EXPECT_EQ(a.value_of(2), 1u);
   EXPECT_EQ(a.value_of(71), 1u);
   // fresh mirrors exactly the novel ids.

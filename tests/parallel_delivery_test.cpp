@@ -3,8 +3,7 @@
 // serial wire exactly, pool-sharded counting-sort delivery yields
 // bit-identical inboxes and metrics, drop_where/scan_messages match the
 // serial scans (including rng draw order), the all-multicast streamed fast
-// path replays the same messages, deliver_fused hands each compute shard
-// the inboxes its lane just scattered, and the thread pool's per-lane busy
+// path replays the same messages, and the thread pool's per-lane busy
 // counters actually tick.
 #include <gtest/gtest.h>
 
@@ -122,46 +121,6 @@ TEST(ParallelDelivery, InboxesAndMetricsMatchSerial) {
       EXPECT_EQ(b[i].from, a[i].from);
       EXPECT_EQ(b[i].to, a[i].to);
       EXPECT_EQ(b[i].payload, a[i].payload);
-    }
-  }
-}
-
-TEST(ParallelDelivery, FusedComputeSeesTheInboxesItsLaneScattered) {
-  MessagePlane<Pay> serial(kN);
-  build_serial(serial);
-  Metrics ms;
-  serial.deliver(ms);
-
-  support::ThreadPool pool(kLanes);
-  MessagePlane<Pay> par(kN);
-  std::vector<SendLog<Pay>> stage;
-  build_stitched(par, stage);
-  Metrics mp;
-  std::vector<std::size_t> seen_sizes(kN, 0);
-  std::vector<std::uint64_t> seen_sums(kN, 0);
-  par.deliver_fused(mp, pool, kLanes,
-                    [&](unsigned, ProcessId lo, ProcessId hi) {
-                      for (ProcessId p = lo; p < hi; ++p) {
-                        for (const Message<Pay>& msg : par.staged_inbox(p)) {
-                          ++seen_sizes[p];
-                          seen_sums[p] += msg.payload.v;
-                        }
-                      }
-                    });
-
-  EXPECT_EQ(mp.messages, ms.messages);
-  EXPECT_EQ(mp.comm_bits, ms.comm_bits);
-  for (ProcessId p = 0; p < kN; ++p) {
-    const auto ref = serial.inbox(p);
-    EXPECT_EQ(seen_sizes[p], ref.size()) << "p" << p;
-    std::uint64_t sum = 0;
-    for (const auto& msg : ref) sum += msg.payload.v;
-    EXPECT_EQ(seen_sums[p], sum) << "p" << p;
-    // After the fused call, inbox() shows the same contents.
-    const auto post = par.inbox(p);
-    ASSERT_EQ(post.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(post[i].payload, ref[i].payload);
     }
   }
 }
@@ -302,37 +261,24 @@ TEST(ThreadPoolClocks, LaneBusyCountersTick) {
   }
 }
 
-TEST(EnginePipeline, FusedRoundsEngageAndMatchSerial) {
-  auto run = [](unsigned threads, bool pipeline, sim::EngineStats* stats) {
-    harness::ExperimentConfig cfg;
-    cfg.algo = harness::Algo::FloodSet;
-    cfg.attack = harness::Attack::RandomOmission;
-    cfg.n = 96;
-    cfg.t = core::Params::max_t_optimal(cfg.n);
-    cfg.seed = 3;
-    cfg.threads = threads;
-    cfg.pipeline = pipeline;
-    cfg.engine_stats = stats;
-    return harness::run_experiment(cfg);
-  };
-  const auto serial = run(1, false, nullptr);
+// Bit-identity of sharded runs is the determinism matrix's job; this pins
+// the engine's per-run stats sink.
+TEST(EngineStats, ShardedRoundsBillEveryLane) {
+  harness::ExperimentConfig cfg;
+  cfg.algo = harness::Algo::FloodSet;
+  cfg.attack = harness::Attack::RandomOmission;
+  cfg.n = 96;
+  cfg.t = core::Params::max_t_optimal(cfg.n);
+  cfg.seed = 3;
+  cfg.threads = 4;
   sim::EngineStats stats;
-  const auto piped = run(4, true, &stats);
-  // The pipeline actually engaged (every round but the last can fuse) and
-  // billed its rounds to fused_ns, and the observable run is unchanged.
-  EXPECT_GT(stats.pipelined_rounds, 0u);
-  EXPECT_EQ(stats.pipelined_rounds + 1, stats.rounds);
-  EXPECT_GT(stats.fused_ns, 0u);
+  cfg.engine_stats = &stats;
+  ASSERT_TRUE(harness::run_experiment(cfg).ok());
+  EXPECT_GT(stats.rounds, 0u);
+  EXPECT_EQ(stats.parallel_rounds, stats.rounds);
+  EXPECT_EQ(stats.fused_ns, 0u);  // kept for external drivers, always 0
   ASSERT_EQ(stats.lane_busy_ns.size(), 4u);
   for (const std::uint64_t ns : stats.lane_busy_ns) EXPECT_GT(ns, 0u);
-  EXPECT_EQ(piped.metrics.rounds, serial.metrics.rounds);
-  EXPECT_EQ(piped.metrics.messages, serial.metrics.messages);
-  EXPECT_EQ(piped.metrics.comm_bits, serial.metrics.comm_bits);
-  EXPECT_EQ(piped.metrics.omitted, serial.metrics.omitted);
-  EXPECT_EQ(piped.metrics.random_calls, serial.metrics.random_calls);
-  EXPECT_EQ(piped.metrics.random_bits, serial.metrics.random_bits);
-  EXPECT_EQ(piped.decision, serial.decision);
-  EXPECT_EQ(piped.time_rounds, serial.time_rounds);
 }
 
 }  // namespace

@@ -123,6 +123,71 @@ TEST(ConfigHash, IgnoresWorkerLaneCountButNotSeeds) {
   EXPECT_EQ(config_key(a).size(), 16u);
 }
 
+// The flood paths lost their pair-list representation and round
+// pipelining, but checkpoints, .repro files and search states written
+// before that must keep their keys. Every key below was printed by the
+// code that still had both.
+TEST(ConfigHash, KeysOfEarlierCheckpointsStillMatch) {
+  ExperimentConfig flood;
+  flood.algo = Algo::FloodSet;
+  flood.n = 64;
+  flood.t = 2;
+  flood.seed = 5;
+  EXPECT_EQ(config_key(flood), "b5808e791ced17b6");
+  flood.packed = true;
+  EXPECT_EQ(config_key(flood), "09837482832d5fc8");
+
+  ExperimentConfig benor = flood;
+  benor.algo = Algo::BenOr;
+  benor.streamed = true;
+  EXPECT_EQ(config_key(benor), "31ab444ded58c131");
+
+  ExperimentConfig optimal = flood;
+  optimal.algo = Algo::Optimal;
+  optimal.packed = false;
+  EXPECT_EQ(config_key(optimal), "b23c0991a5bc6b4e");
+}
+
+TEST(ConfigSerialization, AcceptsPackedAndRemovedPipelineLines) {
+  // Pipelined trials were serialized with a pipeline=1 line.
+  ExperimentConfig cfg;
+  std::string err;
+  ASSERT_TRUE(parse_config(
+      "algo=floodset\nn=64\nt=2\nseed=5\npacked=1\npipeline=1\n", &cfg,
+      &err))
+      << err;
+  EXPECT_TRUE(cfg.packed);
+  EXPECT_EQ(config_key(cfg), "09837482832d5fc8");
+  EXPECT_EQ(serialize_config(cfg).find("pipeline"), std::string::npos);
+}
+
+TEST(SweepCheckpoint, ResumesAnEarlierPipelinedCheckpointWithoutRerunning) {
+  // Checkpointed with packed=1, pipeline=1 and 2 lanes by the code that
+  // still had pipelining.
+  const fs::path dir = scratch("earlier");
+  SweepOptions opts;
+  opts.checkpoint_path = (dir / "ckpt.jsonl").string();
+  const std::string line =
+      R"({"key":"ec5a2b0bc87d583c","verdict":"ok","attempts":1,"seed":1,)"
+      R"("time_rounds":4,"rounds":4,"messages":168,"comm_bits":1624,)"
+      R"("random_calls":0,"random_bits":0,"omitted":0,"corrupted":0,)"
+      R"("operative_end":0,"decision":1,"agreement":true,"validity":true,)"
+      R"("all_decided":true,"hit_round_cap":false,"hit_deadline":false,)"
+      R"("error":"","repro":""})"
+      "\n";
+  std::ofstream(opts.checkpoint_path, std::ios::binary) << line;
+
+  Sweep resumed(opts);
+  ExperimentConfig cfg = tiny_config(1);
+  cfg.packed = true;
+  cfg.threads = 2;
+  const auto trial = resumed.run(cfg);
+  EXPECT_TRUE(trial.from_checkpoint);
+  EXPECT_EQ(trial.result.metrics.comm_bits, 1624u);
+  EXPECT_EQ(resumed.resumed(), 1u);
+  EXPECT_EQ(slurp(opts.checkpoint_path), line);
+}
+
 // ---------------------------------------------------------------------------
 // Verdict taxonomy through the isolation shell.
 

@@ -140,7 +140,12 @@ TEST(TraceCodec, MultiBlockStreamsDecodeBlockIndependently) {
 class PackedCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = scratch("corrupt");
+    // One directory per case: ctest runs the cases as concurrent processes,
+    // and a shared directory would be wiped under a sibling's feet.
+    dir_ = scratch(std::string("corrupt_") +
+                   ::testing::UnitTest::GetInstance()
+                       ->current_test_info()
+                       ->name());
     path_ = dir_ / "p.trace";
     (void)run_traced(path_, harness::Algo::BenOr,
                      harness::Attack::RandomOmission, 24, /*packed=*/true);

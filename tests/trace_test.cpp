@@ -247,11 +247,11 @@ TEST(TraceDeterminism, FloodRandOmitByteIdenticalAcrossThreadCounts) {
   }
 }
 
-// Requesting round pipelining alongside tracing must be silently inert (the
-// canonical per-round event order cannot interleave two rounds): the trace
-// bytes match a run with the flag off, at every thread count.
-TEST(TraceDeterminism, PipelineRequestIsInertWhenTracing) {
-  const fs::path dir = scratch("pipeline_traced");
+// ExperimentConfig::packed survives only as a checkpoint-key field: it
+// must select nothing, so the trace bytes match a run with the flag off, at
+// every thread count.
+TEST(TraceDeterminism, PackedFlagIsInertWhenTracing) {
+  const fs::path dir = scratch("packed_flag_traced");
   harness::ExperimentConfig cfg;
   cfg.algo = harness::Algo::FloodSet;
   cfg.attack = harness::Attack::RandomOmission;
@@ -263,7 +263,7 @@ TEST(TraceDeterminism, PipelineRequestIsInertWhenTracing) {
   cfg.trace_path = (dir / "off.trace").string();
   harness::run_experiment(cfg);
   const std::string bytes = slurp(dir / "off.trace");
-  cfg.pipeline = true;
+  cfg.packed = true;
   for (const unsigned threads : {1u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     cfg.threads = threads;

@@ -94,7 +94,9 @@ void add_grid_flags(ArgParser* args) {
   args->add_option("budget", "-1", "random-bit budget (-1 = unlimited)");
   args->add_option("drop-prob", "0.8", "drop probability for rand-omit");
   args->add_option("params", "practical", "practical | paper constants");
-  args->add_flag("packed", "word-packed knowledge views (floodset/benor)");
+  args->add_flag("packed",
+                 "accepted for checkpoint-key compatibility; flood paths are "
+                 "always packed");
   args->add_flag("streamed", "streamed delivery (floodset/benor)");
 }
 
