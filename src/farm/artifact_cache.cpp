@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "support/check.h"
+#include "support/durable.h"
 
 namespace omx::farm {
 
@@ -94,37 +95,17 @@ bool ArtifactCache::put(const std::string& key,
   h.payload_size = payload.size();
   h.checksum = fnv1a(payload);
 
-  const std::string final_path = entry_path(key);
-  const std::string tmp_path =
-      final_path + ".tmp." + std::to_string(::getpid());
-  FdCloser fd{::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644)};
-  const auto fail = [&](const char* what) {
-    std::fprintf(stderr, "artifact cache: %s %s: %s\n", what,
-                 tmp_path.c_str(), std::strerror(errno));
-    ::unlink(tmp_path.c_str());
+  std::string bytes(reinterpret_cast<const char*>(&h), sizeof h);
+  bytes.append(reinterpret_cast<const char*>(payload.data()), payload.size());
+  // publish_atomic fsyncs before the rename: otherwise the rename can
+  // become durable before the data and a power cut publishes a hole-filled
+  // entry. (The checksum would still catch it, but "detected corruption" is
+  // strictly worse than "no corruption".)
+  if (!publish_atomic(entry_path(key), bytes)) {
+    std::fprintf(stderr, "artifact cache: cannot publish %s: %s\n",
+                 entry_path(key).c_str(), std::strerror(errno));
     return false;
-  };
-  if (fd.fd < 0) return fail("cannot create");
-
-  const auto write_all = [&](const void* p, std::size_t len) {
-    const auto* bytes = static_cast<const std::uint8_t*>(p);
-    while (len > 0) {
-      const ssize_t wrote = ::write(fd.fd, bytes, len);
-      if (wrote <= 0) return false;
-      bytes += wrote;
-      len -= static_cast<std::size_t>(wrote);
-    }
-    return true;
-  };
-  if (!write_all(&h, sizeof h) || !write_all(payload.data(), payload.size()))
-    return fail("cannot write");
-  // fsync before rename: otherwise the rename can become durable before the
-  // data and a power cut publishes a hole-filled entry. (The checksum would
-  // still catch it, but "detected corruption" is strictly worse than "no
-  // corruption".)
-  if (::fsync(fd.fd) != 0) return fail("cannot fsync");
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0)
-    return fail("cannot publish");
+  }
   evict_to_cap();
   return true;
 }

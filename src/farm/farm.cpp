@@ -1,27 +1,23 @@
 #include "farm/farm.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "farm/remote_worker.h"
 #include "farm/shard.h"
-#include "farm/test_hooks.h"
 #include "support/check.h"
+#include "support/durable.h"
 
 namespace omx::farm {
 
@@ -29,16 +25,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Lease slot id for items held by remote workers (local forks use their
-/// slot index >= 0).
-constexpr int kRemoteSlot = -2;
-
-std::uint64_t steady_now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+/// How long stop_local_workers waits for workers to notice their closed
+/// socketpair before it SIGKILLs the stragglers.
+constexpr std::uint64_t kLocalStopMs = 2000;
 
 int exit_code_for_verdict(harness::Verdict v) {
   switch (v) {
@@ -54,63 +43,6 @@ int exit_code_for_verdict(harness::Verdict v) {
       return 4;
   }
   return 3;
-}
-
-bool write_all_fd(int fd, const char* p, std::size_t len) {
-  while (len > 0) {
-    const ssize_t wrote = ::write(fd, p, len);
-    if (wrote <= 0) return false;
-    p += wrote;
-    len -= static_cast<std::size_t>(wrote);
-  }
-  return true;
-}
-
-/// Append one line + fsync: the record is durable before the caller
-/// advances its state machine.
-bool append_line_durably(const std::string& path, const std::string& line) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
-  if (fd < 0) return false;
-  const std::string data = line + "\n";
-  const bool ok = write_all_fd(fd, data.data(), data.size()) &&
-                  ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
-
-/// Publish small metadata files (the resolved endpoint, the artifacts
-/// index) atomically: temp + rename, so a reader never sees a torn file.
-bool publish_file(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << content;
-    out.flush();
-    if (!out) return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  return !ec;
-}
-
-std::string json_escape_min(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -135,7 +67,6 @@ Farm::Farm(FarmOptions options)
       std::getenv("OMX_ARTIFACT_CACHE") == nullptr) {
     ::setenv("OMX_ARTIFACT_CACHE", (options_.dir + "/cache").c_str(), 0);
   }
-  slots_.resize(static_cast<std::size_t>(options_.workers));
 }
 
 bool Farm::add(const harness::ExperimentConfig& cfg) {
@@ -152,28 +83,12 @@ bool Farm::add(const harness::ExperimentConfig& cfg) {
   return added;
 }
 
-std::string Farm::shard_path(int slot) const {
-  return shard_dir() + "/worker-" + std::to_string(slot) + ".jsonl";
-}
-
-std::string Farm::daemon_shard_path() const {
-  return shard_dir() + "/daemon.jsonl";
-}
-
-std::string Farm::remote_shard_path() const {
-  return shard_dir() + "/remote.jsonl";
-}
-
-std::string Farm::socket_path_for(const std::string& dir) {
-  return dir + "/farm.sock";
-}
-
 std::string Farm::endpoint_path_for(const std::string& dir) {
   return dir + "/endpoint";
 }
 
 void Farm::resume_from_shards() {
-  // Repair first: a shard whose tail was torn by a killed worker must not
+  // Repair first: a shard whose tail was torn by a killed daemon must not
   // receive appends after the debris, or the next line would be corrupted.
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(shard_dir(), ec)) {
@@ -188,45 +103,104 @@ void Farm::resume_from_shards() {
   if (!scan.lines.empty()) durable_dirty_ = true;
 }
 
-[[noreturn]] void Farm::worker_main(const WorkItem& item, int slot) {
-  // Keep the fork narrow: run the trial, make its line durable, exit with
-  // the verdict-taxonomy code. _exit (not exit) — the daemon's atexit
-  // state is not ours to run.
-  maybe_run_trial_chaos_hooks(item.key, item.attempts);
-  harness::Sweep sweep(options_.sweep);
-  harness::ExperimentConfig cfg = item.config;
-  // Worker lanes off inside workers: farm parallelism is process-level,
-  // and the engine is bit-identical at every lane count anyway.
-  cfg.threads = 1;
-  const harness::TrialOutcome outcome = sweep.run(cfg);
-  const std::string line = harness::checkpoint_line(item.key, outcome);
-  if (!append_line_durably(shard_path(slot), line)) {
-    std::fprintf(stderr, "farm worker: cannot append to %s\n",
-                 shard_path(slot).c_str());
-    ::_exit(6);  // undurable result — the daemon re-leases the item
-  }
-  ::_exit(exit_code_for_verdict(outcome.verdict));
-}
+// ---------------------------------------------------------------------------
+// Local workers: forked RemoteWorkers on socketpairs.
 
-void Farm::spawn_ready_workers() {
+void Farm::fork_local_workers() {
+  const std::uint64_t now = steady_now_ms();
   for (int slot = 0; slot < options_.workers; ++slot) {
-    if (slots_[static_cast<std::size_t>(slot)].pid != -1) continue;
-    const auto index = queue_.acquire(slot, /*pid=*/-1);
-    if (!index) return;  // nothing eligible right now
+    auto& at = respawn_at_[static_cast<std::size_t>(slot)];
+    if (!at || *at > now) continue;
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+      std::fprintf(stderr, "farm: socketpair failed: %s\n",
+                   std::strerror(errno));
+      at = now + options_.backoff_base_ms;
+      continue;
+    }
     std::fflush(nullptr);  // no duplicated stdio buffers in the child
     const pid_t pid = ::fork();
+    if (pid == 0) {
+      ::close(fds[0]);
+      local_worker_process(slot, fds[1]);  // never returns
+    }
+    ::close(fds[1]);
     if (pid < 0) {
       std::fprintf(stderr, "farm: fork failed: %s\n", std::strerror(errno));
-      queue_.fail(*index);
-      return;
+      ::close(fds[0]);
+      at = now + options_.backoff_base_ms;
+      continue;
     }
-    if (pid == 0) {
-      worker_main(queue_.item(*index), slot);  // never returns
-    }
-    queue_.set_lease_pid(*index, pid);
-    slots_[static_cast<std::size_t>(slot)] = Slot{pid, *index};
+    peers_.push_back(Peer{adopt_fd(fds[0]), RemotePeer{}, pid, slot});
+    at.reset();
   }
 }
+
+[[noreturn]] void Farm::local_worker_process(int slot, int fd) {
+  // Drop every daemon descriptor: a worker holding the listener would keep
+  // a TCP port bound after the daemon died, and one holding a sibling's
+  // socketpair would hide the daemon's death from that sibling. _exit, not
+  // exit: the daemon's destructors (the listener unlinks its socket) and
+  // atexit state are not the worker's to run.
+  if (listener_) ::close(listener_->fd());
+  for (auto& p : peers_) p.conn->close();
+  RemoteWorkerOptions o;
+  o.dir = options_.dir + "/workers/" + std::to_string(slot);
+  o.name = "local-" + std::to_string(slot);
+  o.sweep = options_.sweep;
+  int code = 2;
+  try {
+    RemoteWorker worker(o, adopt_fd(fd));
+    code = worker.run().daemon_finished ? 0 : 1;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "farm: local worker %d: %s\n", slot, e.what());
+  }
+  std::fflush(nullptr);
+  ::_exit(code);
+}
+
+void Farm::bury_local_worker(const Peer& dead) {
+  // The socketpair closed, so the worker is gone: no link to sever, no
+  // reconnect to wait for. The lease it held burns now, not at a watchdog
+  // deadline that `run` does not set by default.
+  if (dead.peer.lease) {
+    const std::size_t index = *dead.peer.lease;
+    const WorkItem& item = queue_.item(index);
+    if (item.state == ItemState::Leased &&
+        item.attempts == dead.peer.lease_epoch) {
+      ++report_.crashed_workers;
+      fail_lease(index, /*hung=*/false);
+    }
+  }
+  ::waitpid(static_cast<pid_t>(dead.pid), nullptr, 0);
+  respawn_at_[static_cast<std::size_t>(dead.slot)] =
+      steady_now_ms() + options_.backoff_base_ms;
+}
+
+void Farm::stop_local_workers() {
+  // Closing a socketpair is the stop signal: an idle worker wakes on the
+  // EOF, a busy one kills its trial fork, and both exit.
+  for (auto& p : peers_) {
+    if (p.pid >= 0) p.conn->close();
+  }
+  const std::uint64_t deadline = steady_now_ms() + kLocalStopMs;
+  for (const auto& p : peers_) {
+    if (p.pid < 0) continue;
+    const auto pid = static_cast<pid_t>(p.pid);
+    while (::waitpid(pid, nullptr, WNOHANG) == 0) {
+      if (steady_now_ms() >= deadline) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+        break;
+      }
+      ::usleep(1000);
+    }
+  }
+  std::erase_if(peers_, [](const Peer& p) { return p.pid >= 0; });
+}
+
+// ---------------------------------------------------------------------------
+// Lease failure.
 
 void Farm::record_exhausted(const WorkItem& item, bool hung) {
   harness::TrialOutcome outcome;
@@ -240,7 +214,7 @@ void Farm::record_exhausted(const WorkItem& item, bool hung) {
                          "budget exhausted)";
   // The synthetic line keeps the merged results total: every queued key
   // appears exactly once even when its trial never managed to record
-  // itself. daemon.jsonl sits beside the worker shards so the merge picks
+  // itself. daemon.jsonl sits beside the results shard so the merge picks
   // it up like any other.
   if (!append_line_durably(daemon_shard_path(),
                            harness::checkpoint_line(item.key, outcome))) {
@@ -251,80 +225,18 @@ void Farm::record_exhausted(const WorkItem& item, bool hung) {
   durable_dirty_ = true;
 }
 
-void Farm::reap_finished_workers() {
-  for (;;) {
-    int status = 0;
-    const pid_t pid = ::waitpid(-1, &status, WNOHANG);
-    if (pid <= 0) return;
-    // Find the slot this pid was leased to.
-    std::size_t slot = slots_.size();
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if (slots_[s].pid == pid) slot = s;
-    }
-    if (slot == slots_.size()) continue;  // not a worker (should not happen)
-    const std::size_t index = slots_[slot].item_index;
-    slots_[slot] = Slot{};
-    const WorkItem& item = queue_.item(index);
-
-    if (item.state == ItemState::Done) {
-      // The item was completed by a remote submission while this fork was
-      // still running (watchdog expiry + re-lease, then the race resolved
-      // both ways). The fork's own shard line, if it got that far, is
-      // byte-identical and deduplicates in the merge.
-      if (WIFEXITED(status)) ++report_.exit_codes[WEXITSTATUS(status)];
-      ++report_.duplicate_results;
-      continue;
-    }
-    if (WIFEXITED(status)) {
-      const int code = WEXITSTATUS(status);
-      ++report_.exit_codes[code];
-      if (code == 0 || code == 2 || code == 3 || code == 4) {
-        // Recorded outcome (the taxonomy codes are *recorded* model
-        // violations — deterministic, so a re-lease would just re-fail).
-        queue_.complete(index);
-        ++report_.done;
-        durable_dirty_ = true;
-        continue;
-      }
-      // Any other exit (e.g. 6 = shard append failed) is an unrecorded
-      // trial: treat like a crash.
-    }
-    const bool hung = item.watchdog_fired;
-    if (WIFSIGNALED(status) || WIFEXITED(status)) {
-      if (hung) {
-        ++report_.watchdog_kills;
-      } else {
-        ++report_.crashed_workers;
-      }
-      // The dead worker may have torn its shard tail mid-write; repair
-      // before the slot is reused so later appends start on a line
-      // boundary.
-      report_.torn_shard_lines +=
-          repair_shard(shard_path(static_cast<int>(slot)));
-      if (item.state == ItemState::Leased && !queue_.fail(index)) {
-        record_exhausted(item, hung);
-      }
-    }
-  }
+void Farm::fail_lease(std::size_t index, bool hung) {
+  const WorkItem item = queue_.item(index);
+  if (!queue_.fail(index)) record_exhausted(item, hung);
 }
 
-void Farm::kill_expired_leases() {
+void Farm::expire_leases() {
+  // A worker silent past the watchdog (no heartbeat): burn the lease. If
+  // the worker is merely partitioned and eventually submits, the result
+  // deduplicates.
   for (const std::size_t index : queue_.expired()) {
-    bool held_by_local_fork = false;
-    for (const auto& slot : slots_) {
-      if (slot.pid != -1 && slot.item_index == index) {
-        ::kill(static_cast<pid_t>(slot.pid), SIGKILL);
-        held_by_local_fork = true;
-      }
-    }
-    if (!held_by_local_fork) {
-      // A remote worker went silent past the watchdog (no heartbeat): there
-      // is no process to kill, so burn the lease directly. If the worker is
-      // merely partitioned and eventually submits, the result deduplicates.
-      ++report_.watchdog_kills;
-      const WorkItem item = queue_.item(index);
-      if (!queue_.fail(index)) record_exhausted(item, true);
-    }
+    ++report_.watchdog_kills;
+    fail_lease(index, /*hung=*/true);
   }
 }
 
@@ -338,34 +250,33 @@ std::string Farm::status_json() const {
      << ",\"resumed\":" << report_.resumed
      << ",\"releases\":" << queue_.retries()
      << ",\"workers\":" << options_.workers
+     << ",\"workers_seen\":" << report_.workers_seen
      << ",\"crashed_workers\":" << report_.crashed_workers
      << ",\"watchdog_kills\":" << report_.watchdog_kills
-     << ",\"remote_workers\":" << report_.remote_workers_seen
-     << ",\"remote_results\":" << report_.remote_results
      << ",\"duplicate_results\":" << report_.duplicate_results
      << ",\"listen\":\""
-     << (worker_listener_ ? worker_listener_->endpoint().to_string() : "")
+     << flat_json::escape(listener_ ? listener_->endpoint().to_string() : "")
      << "\"}";
   return os.str();
 }
 
 // ---------------------------------------------------------------------------
-// The worker protocol (transport-independent request handler).
+// The protocol (transport-independent request handler).
 
 void Farm::note_artifacts(const std::string& key,
-                          const std::map<std::string, std::string>& msg) {
-  const std::string repro = wire::get(msg, "repro");
-  const std::string trace = wire::get(msg, "trace");
+                          const flat_json::Object& msg) {
+  const std::string repro = flat_json::get(msg, "repro");
+  const std::string trace = flat_json::get(msg, "trace");
   if (repro.empty() && trace.empty()) return;
   auto& entry = artifacts_[key];
   if (!repro.empty()) entry["repro"] = repro;
   if (!trace.empty()) entry["trace"] = trace;
-  const std::string worker = wire::get(msg, "worker");
+  const std::string worker = flat_json::get(msg, "worker");
   if (!worker.empty()) entry["worker"] = worker;
 }
 
 bool Farm::accept_result(const std::string& key, const std::string& line,
-                         const std::map<std::string, std::string>& msg) {
+                         const flat_json::Object& msg) {
   const auto index = queue_.find(key);
   if (!index) {
     // Not an item of this grid (e.g. a worker outliving a daemon restart
@@ -398,32 +309,35 @@ bool Farm::accept_result(const std::string& key, const std::string& line,
                  key.c_str());
     return false;
   }
-  if (!append_line_durably(remote_shard_path(), line)) {
-    std::fprintf(stderr, "farm: cannot append remote result to %s\n",
-                 remote_shard_path().c_str());
+  if (!append_line_durably(results_shard_path(), line)) {
+    std::fprintf(stderr, "farm: cannot append result to %s\n",
+                 results_shard_path().c_str());
     return false;  // no ack: the worker keeps its spool copy and retries
   }
   queue_.mark_done(key);
-  ++report_.remote_results;
   ++report_.done;
+  ++report_.exit_codes[exit_code_for_verdict(outcome.verdict)];
   durable_dirty_ = true;
   note_artifacts(key, msg);
   return true;
 }
 
-std::string Farm::handle_request(
-    const std::map<std::string, std::string>& msg, RemotePeer* peer) {
-  const std::string type = wire::get(msg, "type");
-  const std::string rid = wire::get(msg, "rid");
-  using Fields = std::vector<std::pair<std::string, std::string>>;
-  const auto reply = [&](Fields fields) {
+std::string Farm::handle_request(const flat_json::Object& msg,
+                                 RemotePeer* peer) {
+  const std::string type = flat_json::get(msg, "type");
+  const std::string rid = flat_json::get(msg, "rid");
+  const auto reply = [&](flat_json::Fields fields) {
     fields.insert(fields.begin() + 1, {"rid", rid});
-    return wire::encode(fields);
+    return flat_json::encode(fields);
+  };
+  const auto epoch_of = [&] {
+    return static_cast<std::uint32_t>(
+        std::strtoul(flat_json::get(msg, "epoch").c_str(), nullptr, 10));
   };
 
   if (type == "hello") {
-    peer->name = wire::get(msg, "name");
-    ++report_.remote_workers_seen;
+    peer->name = flat_json::get(msg, "name");
+    ++report_.workers_seen;
     // Heartbeat cadence: three per watchdog window keeps one lost
     // heartbeat from expiring a healthy lease.
     const std::uint64_t hb =
@@ -432,11 +346,12 @@ std::string Farm::handle_request(
             : std::max<std::uint64_t>(options_.watchdog_ms / 3, 50);
     return reply({{"type", "helloed"},
                   {"heartbeat_ms", std::to_string(hb)},
+                  {"watchdog_ms", std::to_string(options_.watchdog_ms)},
                   {"retries", std::to_string(options_.sweep.max_attempts)}});
   }
   if (type == "next") {
     if (queue_.all_settled()) return reply({{"type", "done"}});
-    const auto index = queue_.acquire(kRemoteSlot, /*pid=*/-1);
+    const auto index = queue_.acquire();
     if (!index) {
       std::uint64_t poll_ms = 200;
       if (const auto next = queue_.next_deadline_in()) {
@@ -445,24 +360,24 @@ std::string Farm::handle_request(
       return reply({{"type", "idle"}, {"poll_ms", std::to_string(poll_ms)}});
     }
     const WorkItem& item = queue_.item(*index);
+    peer->lease = *index;
+    peer->lease_epoch = item.attempts;
     return reply({{"type", "lease"},
                   {"key", item.key},
                   {"epoch", std::to_string(item.attempts)},
                   {"config", harness::serialize_config(item.config)}});
   }
   if (type == "heartbeat") {
-    const auto index = queue_.find(wire::get(msg, "key"));
-    const auto epoch = static_cast<std::uint32_t>(
-        std::strtoul(wire::get(msg, "epoch").c_str(), nullptr, 10));
-    if (index && queue_.renew(*index, epoch)) {
+    const auto index = queue_.find(flat_json::get(msg, "key"));
+    if (index && queue_.renew(*index, epoch_of())) {
       return reply({{"type", "ok"}});
     }
     return reply({{"type", "stale"}});
   }
   if (type == "result") {
-    const std::string key = wire::get(msg, "key");
+    const std::string key = flat_json::get(msg, "key");
     const std::size_t rejected_before = report_.rejected_results;
-    if (accept_result(key, wire::get(msg, "line"), msg)) {
+    if (accept_result(key, flat_json::get(msg, "line"), msg)) {
       return reply({{"type", "ok"}});
     }
     // Parse-rejected lines are the worker's bug (the frame checksum passed,
@@ -473,16 +388,14 @@ std::string Farm::handle_request(
           report_.rejected_results > rejected_before ? "reject" : "retry"}});
   }
   if (type == "fail") {
-    // Worker-side trial crash (its fork died unrecorded). Epoch-gated: a
-    // stale failure report must not burn the current lease.
-    const auto index = queue_.find(wire::get(msg, "key"));
-    const auto epoch = static_cast<std::uint32_t>(
-        std::strtoul(wire::get(msg, "epoch").c_str(), nullptr, 10));
+    // The worker's trial fork died unrecorded, or its watchdog killed it.
+    // Epoch-gated: a stale failure report must not burn the current lease.
+    const auto index = queue_.find(flat_json::get(msg, "key"));
     if (index && queue_.item(*index).state == ItemState::Leased &&
-        queue_.item(*index).attempts == epoch) {
-      ++report_.remote_failures;
-      const WorkItem item = queue_.item(*index);
-      if (!queue_.fail(*index)) record_exhausted(item, false);
+        queue_.item(*index).attempts == epoch_of()) {
+      const bool hung = flat_json::get(msg, "reason") == "watchdog";
+      ++(hung ? report_.watchdog_kills : report_.crashed_workers);
+      fail_lease(*index, hung);
       return reply({{"type", "ok"}});
     }
     return reply({{"type", "stale"}});
@@ -513,76 +426,37 @@ std::string Farm::handle_request(
 // ---------------------------------------------------------------------------
 // Event loop plumbing.
 
-int Farm::open_socket() {
-  const std::string path = socket_path_for(options_.dir);
-  sockaddr_un addr{};
-  if (path.size() >= sizeof(addr.sun_path)) {
-    std::fprintf(stderr,
-                 "farm: socket path %s exceeds the AF_UNIX limit — status "
-                 "endpoint disabled\n",
-                 path.c_str());
-    return -1;
-  }
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listener < 0) return -1;
-  ::unlink(path.c_str());
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0 ||
-      ::listen(listener, 8) != 0) {
-    std::fprintf(stderr, "farm: cannot serve %s: %s\n", path.c_str(),
-                 std::strerror(errno));
-    ::close(listener);
-    return -1;
-  }
-  return listener;
-}
-
-void Farm::serve_status_client(int listener) {
-  const int client = ::accept(listener, nullptr, nullptr);
-  if (client < 0) return;
-  char buf[256];
-  const ssize_t got = ::recv(client, buf, sizeof buf - 1, 0);
-  std::string request(buf, got > 0 ? static_cast<std::size_t>(got) : 0);
-  if (const auto nl = request.find('\n'); nl != std::string::npos) {
-    request.resize(nl);
-  }
-  if (request == "follow") {
-    // Keep the client: push_follow_lines streams every durable line (past
-    // and future) and finishes with "end\n" when the farm completes.
-    raw_followers_.push_back(RawFollower{client, {}});
-    durable_dirty_ = true;
+void Farm::open_endpoint() {
+  const bool fallback = options_.listen.empty();
+  const std::string spec =
+      fallback ? "unix:" + fs::absolute(options_.dir + "/farm.sock").string()
+               : options_.listen;
+  try {
+    listener_ = std::make_unique<Listener>(Endpoint::parse(spec));
+  } catch (const PreconditionError& e) {
+    if (!fallback) throw;
+    // The default endpoint only serves status clients and dialed workers;
+    // local workers ride socketpairs, so the farm still runs without it.
+    std::fprintf(stderr, "farm: %s — status endpoint disabled\n", e.what());
     return;
   }
-  std::string response;
-  if (request == "status") {
-    response = status_json() + "\n";
-  } else if (request == "results") {
-    // Live view of everything durable so far, in canonical order.
-    for (const auto& [key, line] : scan_shards(shard_dir()).lines) {
-      response += line;
-      response += '\n';
-    }
-  } else if (request == "artifacts") {
-    response = artifacts_json() + "\n";
-  } else {
-    response =
-        "{\"error\":\"unknown request (want: status | results | artifacts | "
-        "follow)\"}\n";
+  // Publish the resolved endpoint (port 0 → real port) for scripts,
+  // status clients and workers that only know the farm directory.
+  if (!publish_atomic(endpoint_path_for(options_.dir),
+                      listener_->endpoint().to_string() + "\n")) {
+    std::fprintf(stderr, "farm: cannot publish %s\n",
+                 endpoint_path_for(options_.dir).c_str());
   }
-  write_all_fd(client, response.data(), response.size());
-  ::close(client);
 }
 
-void Farm::pump_remote(Remote* remote) {
+void Farm::pump_peer(Peer* p) {
   // Drain every frame that is already buffered; Timeout means "no more".
   for (;;) {
     std::string payload;
-    const RecvStatus status = remote->conn->recv(&payload, 0);
+    const RecvStatus status = p->conn->recv(&payload, 0);
     if (status == RecvStatus::Timeout) return;
     if (status == RecvStatus::Closed) {
-      remote->conn->close();
+      p->conn->close();
       return;
     }
     if (status == RecvStatus::Corrupt) {
@@ -590,26 +464,27 @@ void Farm::pump_remote(Remote* remote) {
       std::fprintf(stderr,
                    "farm: dropping connection%s: %s at byte offset %llu — "
                    "its lease, if any, expires via the watchdog\n",
-                   remote->peer.name.empty()
-                       ? ""
-                       : (" from " + remote->peer.name).c_str(),
-                   remote->conn->corrupt_detail().c_str(),
-                   static_cast<unsigned long long>(
-                       remote->conn->corrupt_offset()));
-      remote->conn->close();
+                   p->peer.name.empty() ? ""
+                                        : (" from " + p->peer.name).c_str(),
+                   p->conn->corrupt_detail().c_str(),
+                   static_cast<unsigned long long>(p->conn->corrupt_offset()));
+      p->conn->close();
       return;
     }
-    std::map<std::string, std::string> msg;
-    if (!wire::decode(payload, &msg)) {
+    flat_json::Object msg;
+    if (!flat_json::parse(payload, &msg)) {
       // The checksum passed but the payload is not a protocol message: a
       // peer speaking the wrong protocol. Refuse the connection.
       ++report_.corrupt_frames;
-      remote->conn->close();
+      p->conn->close();
       return;
     }
-    const std::string response = handle_request(msg, &remote->peer);
-    if (!response.empty() && !remote->conn->send(response)) {
-      remote->conn->close();
+    if (p->pid < 0 && flat_json::get(msg, "type") == "hello") {
+      dialed_hello_ = true;
+    }
+    const std::string response = handle_request(msg, &p->peer);
+    if (!response.empty() && !p->conn->send(response)) {
+      p->conn->close();
       return;
     }
   }
@@ -617,95 +492,55 @@ void Farm::pump_remote(Remote* remote) {
 
 void Farm::push_follow_lines(bool final_push) {
   if (!durable_dirty_ && !final_push) return;
-  const bool any_follower =
-      !raw_followers_.empty() ||
-      std::any_of(remotes_.begin(), remotes_.end(),
-                  [](const Remote& r) { return r.peer.follow; });
   durable_dirty_ = false;
-  if (!any_follower) return;
-  const ShardScan scan = scan_shards(shard_dir());
-
-  for (auto& follower : raw_followers_) {
-    if (follower.fd < 0) continue;
-    bool alive = true;
-    for (const auto& [key, line] : scan.lines) {
-      if (!follower.sent_keys.insert(key).second) continue;
-      const std::string data = line + "\n";
-      if (!write_all_fd(follower.fd, data.data(), data.size())) {
-        alive = false;
-        break;
-      }
-    }
-    if (final_push && alive) {
-      const char end[] = "end\n";
-      write_all_fd(follower.fd, end, sizeof end - 1);
-      alive = false;
-    }
-    if (!alive) {
-      ::close(follower.fd);
-      follower.fd = -1;
-    }
+  if (std::none_of(peers_.begin(), peers_.end(),
+                   [](const Peer& p) { return p.peer.follow; })) {
+    return;
   }
-  std::erase_if(raw_followers_,
-                [](const RawFollower& f) { return f.fd < 0; });
-
-  for (auto& remote : remotes_) {
-    if (!remote.peer.follow || remote.conn->fd() < 0) continue;
+  const ShardScan scan = scan_shards(shard_dir());
+  for (auto& p : peers_) {
+    if (!p.peer.follow || p.conn->fd() < 0) continue;
     bool alive = true;
     for (const auto& [key, line] : scan.lines) {
-      if (!remote.peer.sent_keys.insert(key).second) continue;
-      if (!remote.conn->send(
-              wire::encode({{"type", "line"}, {"line", line}}))) {
+      if (!p.peer.sent_keys.insert(key).second) continue;
+      const std::string frame =
+          flat_json::encode({{"type", "line"}, {"line", line}});
+      if (!p.conn->send(frame)) {
         alive = false;
         break;
       }
     }
     if (final_push && alive) {
-      remote.conn->send(wire::encode({{"type", "end"}}));
+      p.conn->send(flat_json::encode({{"type", "end"}}));
     }
-    if (!alive) remote.conn->close();
+    if (!alive) p.conn->close();
   }
 }
 
 void Farm::pump_network(int timeout_ms) {
   std::vector<pollfd> pfds;
-  std::vector<int> owner;  // parallel: -1 status listener, -2 worker
-                           // listener, else index into remotes_
-  const int status_fd = status_listener_fd_;
-  if (status_fd >= 0) {
-    pfds.push_back(pollfd{status_fd, POLLIN, 0});
-    owner.push_back(-1);
-  }
-  if (worker_listener_) {
-    pfds.push_back(pollfd{worker_listener_->fd(), POLLIN, 0});
-    owner.push_back(-2);
-  }
-  for (std::size_t i = 0; i < remotes_.size(); ++i) {
-    if (remotes_[i].conn->fd() < 0) continue;
-    pfds.push_back(pollfd{remotes_[i].conn->fd(), POLLIN, 0});
-    owner.push_back(static_cast<int>(i));
-  }
-  if (pfds.empty()) {
-    ::poll(nullptr, 0, timeout_ms);
-  } else {
-    const int ready = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    if (ready > 0) {
-      for (std::size_t i = 0; i < pfds.size(); ++i) {
-        if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        if (owner[i] == -1) {
-          serve_status_client(status_fd);
-        } else if (owner[i] == -2) {
-          if (auto conn = worker_listener_->accept(0)) {
-            remotes_.push_back(Remote{std::move(conn), RemotePeer{}});
-          }
-        } else {
-          pump_remote(&remotes_[static_cast<std::size_t>(owner[i])]);
-        }
+  if (listener_) pfds.push_back(pollfd{listener_->fd(), POLLIN, 0});
+  const std::size_t first_peer = pfds.size();
+  for (const auto& p : peers_) pfds.push_back(pollfd{p.conn->fd(), POLLIN, 0});
+  if (::poll(pfds.data(), pfds.size(), timeout_ms) > 0) {
+    const auto ready = [&](std::size_t i) {
+      return (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+    };
+    // Peers first: accepting appends to peers_, which the pfds indices
+    // below do not cover.
+    for (std::size_t i = first_peer; i < pfds.size(); ++i) {
+      if (ready(i)) pump_peer(&peers_[i - first_peer]);
+    }
+    if (listener_ && ready(0)) {
+      if (auto conn = listener_->accept(0)) {
+        peers_.push_back(Peer{std::move(conn), RemotePeer{}, -1, -1});
       }
     }
   }
-  std::erase_if(remotes_,
-                [](const Remote& r) { return r.conn->fd() < 0; });
+  for (const auto& p : peers_) {
+    if (p.conn->fd() < 0 && p.pid >= 0) bury_local_worker(p);
+  }
+  std::erase_if(peers_, [](const Peer& p) { return p.conn->fd() < 0; });
   push_follow_lines(false);
 }
 
@@ -713,30 +548,22 @@ void Farm::pump_network(int timeout_ms) {
 // Artifacts index (repro/trace capture paths per key).
 
 std::string Farm::artifacts_json() const {
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
+  std::string json = "{";
   for (const auto& [key, fields] : artifacts_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << key << "\":{";
-    bool inner_first = true;
-    for (const auto& [k, v] : fields) {
-      if (!inner_first) os << ",";
-      inner_first = false;
-      os << "\"" << k << "\":\"" << json_escape_min(v) << "\"";
-    }
-    os << "}";
+    if (json.size() > 1) json += ',';
+    json += '"';
+    flat_json::append_escaped(&json, key);
+    json += "\":";
+    json += flat_json::encode(flat_json::Fields(fields.begin(), fields.end()));
   }
-  os << "}";
-  return os.str();
+  json += '}';
+  return json;
 }
 
 void Farm::write_artifacts_index() {
-  // Local captures: Sweep writes <repro_dir>/<key>.repro (+ .trace) inside
-  // the forked worker; the daemon shares that directory, so existence is
-  // the index. Remote captures were reported in the result messages and
-  // already sit in artifacts_.
+  // Captures in the shared repro directory (local workers, and earlier
+  // runs of this farm) are indexed by existence; dialed workers reported
+  // theirs in the result messages, which already sit in artifacts_.
   std::error_code ec;
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     const std::string& key = queue_.item(i).key;
@@ -748,7 +575,7 @@ void Farm::write_artifacts_index() {
       artifacts_[key]["trace"] = stem + ".trace";
     }
   }
-  if (!publish_file(artifacts_path(), artifacts_json() + "\n")) {
+  if (!publish_atomic(artifacts_path(), artifacts_json() + "\n")) {
     std::fprintf(stderr, "farm: cannot publish %s\n",
                  artifacts_path().c_str());
   }
@@ -761,30 +588,20 @@ FarmReport Farm::run() {
   // A client vanishing mid-response must not kill the daemon.
   ::signal(SIGPIPE, SIG_IGN);
   resume_from_shards();
-  status_listener_fd_ = options_.serve_socket ? open_socket() : -1;
-  if (!options_.listen.empty()) {
-    worker_listener_ =
-        std::make_unique<Listener>(Endpoint::parse(options_.listen));
-    // Publish the resolved endpoint (port 0 → real port) for scripts and
-    // workers that only know the farm directory.
-    publish_file(endpoint_path_for(options_.dir),
-                 worker_listener_->endpoint().to_string() + "\n");
-  }
+  open_endpoint();
+  respawn_at_.assign(static_cast<std::size_t>(options_.workers),
+                     std::uint64_t{0});
 
   while (!queue_.all_settled()) {
-    kill_expired_leases();
-    reap_finished_workers();
-    spawn_ready_workers();
-    // Sleep until the next timed event, bounded so child exits (which do
-    // not wake poll) are reaped promptly.
-    int timeout_ms = 20;
+    expire_leases();
+    fork_local_workers();
+    int timeout_ms = 100;
     if (const auto next = queue_.next_deadline_in()) {
-      timeout_ms = static_cast<int>(
-          std::min<std::uint64_t>(*next + 1, 100));
+      timeout_ms = static_cast<int>(std::min<std::uint64_t>(*next + 1, 100));
     }
     pump_network(timeout_ms);
   }
-  reap_finished_workers();  // collect any last exits before merging
+  stop_local_workers();
 
   const ShardScan merged = merge_shards(shard_dir(), merged_path());
   report_.torn_shard_lines += merged.torn_lines;
@@ -793,63 +610,23 @@ FarmReport Farm::run() {
   write_artifacts_index();
   push_follow_lines(/*final_push=*/true);
 
-  // Linger briefly so workers — connected or just now reconnecting after a
-  // severed link — hear "done" instead of timing out against a vanished
-  // daemon (their reconnect deadline would still end the run correctly —
-  // this just ends it politely and promptly).
+  // Linger briefly so dialed workers — connected or just now reconnecting
+  // after a severed link — hear "done" instead of timing out against a
+  // vanished daemon (their reconnect deadline would still end the run
+  // correctly — this just ends it politely and promptly).
   const std::uint64_t linger_until =
       steady_now_ms() + options_.shutdown_linger_ms;
-  while (worker_listener_ && steady_now_ms() < linger_until) {
+  while (listener_ && dialed_hello_ && steady_now_ms() < linger_until) {
     pump_network(20);
     push_follow_lines(/*final_push=*/true);
   }
 
-  if (status_listener_fd_ >= 0) {
-    ::close(status_listener_fd_);
-    status_listener_fd_ = -1;
-    ::unlink(socket_path_for(options_.dir).c_str());
-  }
-  if (worker_listener_) {
+  if (listener_) {
     ::unlink(endpoint_path_for(options_.dir).c_str());
-    worker_listener_.reset();
+    listener_.reset();
   }
-  for (auto& remote : remotes_) remote.conn->close();
-  remotes_.clear();
-  for (auto& follower : raw_followers_) {
-    if (follower.fd >= 0) ::close(follower.fd);
-  }
-  raw_followers_.clear();
+  peers_.clear();
   return report_;
-}
-
-std::string Farm::query(const std::string& dir, const std::string& request) {
-  const std::string path = socket_path_for(dir);
-  sockaddr_un addr{};
-  OMX_REQUIRE(path.size() < sizeof(addr.sun_path),
-              "farm: socket path too long: " + path);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  OMX_REQUIRE(fd >= 0, "farm: cannot create socket");
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ::close(fd);
-    throw PreconditionError("farm: no daemon listening at " + path + ": " +
-                            std::strerror(errno));
-  }
-  const std::string line = request + "\n";
-  std::string response;
-  if (write_all_fd(fd, line.data(), line.size())) {
-    ::shutdown(fd, SHUT_WR);
-    char buf[4096];
-    for (;;) {
-      const ssize_t got = ::recv(fd, buf, sizeof buf, 0);
-      if (got <= 0) break;
-      response.append(buf, static_cast<std::size_t>(got));
-    }
-  }
-  ::close(fd);
-  return response;
 }
 
 }  // namespace omx::farm

@@ -1,41 +1,40 @@
-// omxfarm: fork-isolated, crash-safe sweep farm (ROADMAP item 3).
+// omxfarm: fork-isolated, crash-safe sweep farm.
 //
 // The PR 4 sweep runner survives a *trial* failing because the trial runs
 // inside an in-process isolation shell. The farm makes the failure domain a
-// whole process: every leased work item runs in a fork(2)'d worker, so a
-// trial that corrupts memory, SIGSEGVs, or is SIGKILL'd from outside burns
-// only its lease — the daemon classifies the worker's fate (the PR 4
-// verdict taxonomy exit codes 2/3/4 for recorded model violations, vs. a
-// termination signal for a crash) and re-queues crashed items through the
-// WorkQueue's backoff/retry policy.
+// whole process: every trial runs in a fork of a RemoteWorker
+// (remote_worker.h), so a trial that corrupts memory, SIGSEGVs, hangs, or is
+// SIGKILL'd from outside burns only its lease, which the WorkQueue re-queues
+// under its backoff/retry policy. `--workers N` forks N local RemoteWorkers
+// on socketpairs; `omxfarm work --connect` processes dial the daemon's
+// framed endpoint (transport.h; default unix:<dir>/farm.sock, published to
+// <dir>/endpoint). Workers and `omxfarm status|results` clients all speak
+// one protocol (handle_request).
 //
 // Durability layering (who survives what):
 //
-//   worker SIGKILL   → its shard holds at most a torn final line; the
-//                      lease fails, the item re-runs, shard repair drops
-//                      the debris. Merged results are unaffected.
-//   worker hang      → the lease watchdog SIGKILLs it; same as above but
-//                      classified separately (watchdog_kills).
-//   daemon SIGKILL   → workers finish or die orphaned; every completed
-//                      trial is already a durable shard line. A re-run
-//                      daemon rescans shards, repairs torn tails, marks
-//                      recorded items done and runs only the remainder —
-//                      the merged output is byte-identical to an
+//   trial crash/hang → the worker reports "fail" (for a hang, once its
+//                      watchdog killed the trial); the lease burns and the
+//                      item re-runs with its original seed, or ends as a
+//                      synthetic row once the retry budget is spent.
+//   local worker     → its socketpair closes (a socketpair cannot be
+//   death              severed like a network link), so the daemon fails
+//                      the lease the worker held, reaps it and respawns
+//                      its slot.
+//   daemon SIGKILL   → every accepted result is already a durable shard
+//                      line; local workers see their socketpair close, kill
+//                      their trial and exit. A re-run daemon rescans the
+//                      shards, repairs torn tails, runs only the remainder,
+//                      and its workers resubmit the spools the old ones
+//                      left — the merged output is byte-identical to an
 //                      uninterrupted farm's (and, after canonical sort, to
 //                      a single-process Sweep of the same grid).
 //   corrupt cache    → the artifact cache checksums every entry; a torn or
 //                      bit-flipped blob is a miss and the artifact is
 //                      rebuilt. Decisions and metrics never change.
 //
-// While running, the daemon serves newline-delimited requests ("status",
-// "results", "artifacts", "follow") over a Unix-domain socket at
-// `<dir>/farm.sock`, answering with JSON — any number of clients can poll
-// (or, with "follow", stream) a running farm.
-//
-// Remote workers (FarmOptions::listen nonempty) extend the failure domain
-// across the wire: `omxfarm work --connect <endpoint>` processes speak the
-// framed, checksummed transport protocol (transport.h) and are leased the
-// same config-hash items as local forks. The omission-model discipline:
+// Dialed workers extend the failure domain across a lossy wire. The
+// omission-model discipline:
 //
 //   message lost      → request/response framing plus the worker's retry
 //                       loop re-asks; a lost result resubmits from the
@@ -65,6 +64,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -72,36 +72,40 @@
 #include "farm/transport.h"
 #include "farm/workqueue.h"
 #include "harness/sweep.h"
+#include "support/flat_json.h"
 
 namespace omx::farm {
 
 struct FarmOptions {
-  /// Farm state directory: shards/, merged.jsonl, farm.sock, cache/.
+  /// Farm state directory: shards/, workers/, merged.jsonl, endpoint,
+  /// farm.sock, cache/.
   std::string dir;
-  /// Concurrent fork-isolated local workers (0 = remote workers only;
-  /// requires a listen endpoint).
+  /// Local workers: forked RemoteWorker processes, one per slot, each on a
+  /// socketpair with its state under <dir>/workers/<slot>/ (0 = dialed
+  /// workers only; requires a listen endpoint).
   int workers = 4;
-  /// Worker/streaming endpoint ("unix:<path>" or "tcp:<host>:<port>",
-  /// port 0 = kernel-assigned). Empty = no remote serving. The resolved
-  /// endpoint is published to <dir>/endpoint so scripts can find a
-  /// port-0 daemon.
+  /// Framed endpoint for dialed workers and status/results clients
+  /// ("unix:<path>" or "tcp:<host>:<port>", port 0 = kernel-assigned).
+  /// Empty = unix:<dir>/farm.sock; if that path does not fit AF_UNIX the
+  /// farm runs without an endpoint and says so. The resolved endpoint is
+  /// published to <dir>/endpoint.
   std::string listen;
-  /// After the last item settles, keep answering the worker endpoint for
-  /// this long so connected workers receive "done" instead of discovering
-  /// the daemon's death through their reconnect deadline.
+  /// After the last item settles, keep answering the endpoint for this long
+  /// (only when a dialed worker has said hello) so connected workers
+  /// receive "done" instead of discovering the daemon's death through their
+  /// reconnect deadline.
   std::uint64_t shutdown_linger_ms = 500;
-  /// Lease watchdog (ms): a worker past this deadline is SIGKILLed and the
-  /// lease failed. 0 = none. Distinct from the *cooperative* per-trial
-  /// deadline (sweep.trial_deadline_ms), which a healthy engine honors by
-  /// recording a timeout verdict; the watchdog is the backstop for a
-  /// worker that cannot even do that.
+  /// Trial watchdog (ms), 0 = none. Every worker kills a trial running past
+  /// it and reports a watchdog failure; the daemon also fails a lease whose
+  /// worker stops heartbeating for this long. Distinct from the
+  /// *cooperative* per-trial deadline (sweep.trial_deadline_ms), which a
+  /// healthy engine honors by recording a timeout verdict; the watchdog is
+  /// the backstop for a trial that cannot even do that.
   std::uint64_t watchdog_ms = 0;
   /// Farm-level leases per item (crash/hang retries; 1 = none).
   std::uint32_t max_attempts = 3;
   std::uint64_t backoff_base_ms = 100;
   std::uint64_t backoff_cap_ms = 5000;
-  /// Serve status/results over <dir>/farm.sock while running.
-  bool serve_socket = true;
   /// Point OMX_ARTIFACT_CACHE at <dir>/cache before forking workers (only
   /// when the variable is not already set), so all workers share one
   /// crash-consistent artifact store.
@@ -116,20 +120,23 @@ struct FarmReport {
   std::size_t items = 0;
   std::size_t done = 0;
   std::size_t failed = 0;    // retry budget exhausted (synthetic outcome)
-  std::size_t resumed = 0;   // satisfied from shards before any fork
+  std::size_t resumed = 0;   // satisfied from shards before any lease
   std::uint64_t releases = 0;  // farm-level retries (leases beyond first)
-  std::size_t crashed_workers = 0;   // exits by signal (not watchdog)
-  std::size_t watchdog_kills = 0;    // leases reaped by the watchdog
+  /// Trials that died unrecorded, plus local workers that died holding a
+  /// lease.
+  std::size_t crashed_workers = 0;
+  /// Trials killed by their worker's watchdog, plus leases whose worker
+  /// stopped heartbeating.
+  std::size_t watchdog_kills = 0;
   std::size_t torn_shard_lines = 0;  // debris dropped by repair/merge
-  // Remote-transport accounting:
-  std::size_t remote_workers_seen = 0;  // distinct hello'd connections
-  std::size_t remote_results = 0;       // lines accepted over the wire
-  std::size_t duplicate_results = 0;    // resubmissions dropped by key
-  std::size_t late_results = 0;         // results for already-settled items
-  std::size_t rejected_results = 0;     // unparseable/mismatched lines
-  std::size_t remote_failures = 0;      // worker-reported trial crashes
-  std::size_t corrupt_frames = 0;       // transport checksum rejections
-  /// Worker exit-code histogram (0 ok-recorded, 2/3/4 the PR 4 taxonomy).
+  std::size_t workers_seen = 0;       // hello'd connections, local or dialed
+  std::size_t duplicate_results = 0;  // resubmissions dropped by key
+  std::size_t late_results = 0;       // results for already-settled items
+  std::size_t rejected_results = 0;   // unparseable/mismatched lines
+  std::size_t corrupt_frames = 0;     // transport checksum rejections
+  /// Verdict classes of the lines accepted during this run: 0 recorded
+  /// (ok, round_cap, timeout), then the sweep's failure classes 2
+  /// precondition, 3 invariant, 4 adversary violation.
   std::map<int, std::uint64_t> exit_codes;
   std::string merged_path;
   bool all_ok() const { return failed == 0; }
@@ -142,87 +149,82 @@ class Farm {
   /// Queue one sweep cell. Returns false for a duplicate config hash.
   bool add(const harness::ExperimentConfig& cfg);
 
-  /// Run the farm to completion: resume from shards, fork/lease/reap until
-  /// every item settles, then publish <dir>/merged.jsonl. Blocking.
+  /// Run the farm to completion: resume from shards, serve leases to local
+  /// and dialed workers until every item settles, then publish
+  /// <dir>/merged.jsonl. Blocking.
   FarmReport run();
 
-  /// One-line JSON status snapshot (the socket's "status" answer).
+  /// One-line JSON status snapshot (the "status" answer).
   std::string status_json() const;
 
-  /// The worker-protocol request handler, transport-independent: one
-  /// decoded request message in, one response message out (empty = no
-  /// response; the connection state records side effects like follow
-  /// subscription). Public so protocol tests can drive lease/heartbeat/
-  /// result semantics without sockets; the event loop calls it per frame.
+  /// The protocol's request handler, transport-independent: one decoded
+  /// request message in, one response message out (empty = no response;
+  /// the connection state records side effects like follow subscription
+  /// and the lease it holds). Public so protocol tests can drive
+  /// lease/heartbeat/result semantics without sockets; the event loop calls
+  /// it per frame.
   struct RemotePeer {
     std::string name;     // from hello
     bool follow = false;  // subscribed to the merged-line stream
     std::set<std::string> sent_keys;  // follow: lines already pushed
+    std::optional<std::size_t> lease;  // item index of the last lease granted
+    std::uint32_t lease_epoch = 0;
   };
-  std::string handle_request(const std::map<std::string, std::string>& msg,
-                             RemotePeer* peer);
+  std::string handle_request(const flat_json::Object& msg, RemotePeer* peer);
 
-  static std::string socket_path_for(const std::string& dir);
-  /// Path of the file the daemon publishes its resolved listen endpoint to.
+  /// Path of the file the daemon publishes its resolved endpoint to.
   static std::string endpoint_path_for(const std::string& dir);
 
-  /// Client side: send `request` ("status", "results", "artifacts") to the
-  /// farm serving <dir>/farm.sock and return the raw response. Throws
-  /// PreconditionError if no daemon is listening there.
-  static std::string query(const std::string& dir, const std::string& request);
-
  private:
-  struct Slot {
-    std::int64_t pid = -1;          // -1 = free
-    std::size_t item_index = 0;
-  };
-  struct Remote {
+  struct Peer {
     std::unique_ptr<Conn> conn;
     RemotePeer peer;
-  };
-  struct RawFollower {
-    int fd = -1;
-    std::set<std::string> sent_keys;
+    std::int64_t pid = -1;  // local worker process (-1: a dialed client)
+    int slot = -1;          // local worker slot
   };
 
   std::string shard_dir() const { return options_.dir + "/shards"; }
-  std::string shard_path(int slot) const;
-  std::string daemon_shard_path() const;
-  std::string remote_shard_path() const;
+  std::string results_shard_path() const {
+    return shard_dir() + "/results.jsonl";
+  }
+  std::string daemon_shard_path() const {
+    return shard_dir() + "/daemon.jsonl";
+  }
   std::string merged_path() const { return options_.dir + "/merged.jsonl"; }
   std::string artifacts_path() const {
     return options_.dir + "/merged.artifacts.json";
   }
 
   void resume_from_shards();
-  void spawn_ready_workers();
-  [[noreturn]] void worker_main(const WorkItem& item, int slot);
-  void reap_finished_workers();
-  void kill_expired_leases();
+  void open_endpoint();
+  void fork_local_workers();
+  [[noreturn]] void local_worker_process(int slot, int fd);
+  void bury_local_worker(const Peer& dead);
+  void stop_local_workers();
+  void expire_leases();
+  void fail_lease(std::size_t index, bool hung);
   void record_exhausted(const WorkItem& item, bool hung);
-  int open_socket();
   void pump_network(int timeout_ms);
-  void serve_status_client(int listener);
-  void pump_remote(Remote* remote);
+  void pump_peer(Peer* peer);
   void push_follow_lines(bool final_push);
   std::string artifacts_json() const;
   void write_artifacts_index();
   bool accept_result(const std::string& key, const std::string& line,
-                     const std::map<std::string, std::string>& msg);
-  void note_artifacts(const std::string& key,
-                      const std::map<std::string, std::string>& msg);
+                     const flat_json::Object& msg);
+  void note_artifacts(const std::string& key, const flat_json::Object& msg);
 
   FarmOptions options_;
   WorkQueue queue_;
-  std::vector<Slot> slots_;
   FarmReport report_;
-  int status_listener_fd_ = -1;  // <dir>/farm.sock listener (raw protocol)
-  std::unique_ptr<Listener> worker_listener_;
-  std::vector<Remote> remotes_;
-  std::vector<RawFollower> raw_followers_;
+  std::unique_ptr<Listener> listener_;
+  std::vector<Peer> peers_;
+  /// Per local slot: when its worker may be (re)forked; nullopt while one
+  /// is alive.
+  std::vector<std::optional<std::uint64_t>> respawn_at_;
+  bool dialed_hello_ = false;   // a dialed worker has joined (linger on exit)
   bool durable_dirty_ = false;  // new lines since the last follow push
   /// key → {repro path, trace path, worker name}: the artifacts index,
-  /// built from local capture paths and remote workers' reports.
+  /// built from the repro directory and workers' result reports.
   std::map<std::string, std::map<std::string, std::string>> artifacts_;
 };
 

@@ -1,20 +1,22 @@
 #include "farm/remote_worker.h"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "farm/shard.h"
 #include "farm/test_hooks.h"
 #include "support/check.h"
+#include "support/durable.h"
 
 namespace omx::farm {
 
@@ -22,64 +24,31 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::uint64_t steady_now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Per-attempt wait for an RPC response before re-sending the request.
 /// Short enough that a dropped response costs little, long enough that a
 /// delay-chaos'd daemon usually answers in one attempt.
 constexpr int kResponseTimeoutMs = 750;
-
-int exit_code_for_verdict(harness::Verdict v) {
-  switch (v) {
-    case harness::Verdict::Ok:
-    case harness::Verdict::RoundCap:
-    case harness::Verdict::Timeout:
-      return 0;
-    case harness::Verdict::Precondition:
-      return 2;
-    case harness::Verdict::Invariant:
-      return 3;
-    case harness::Verdict::AdversaryViolation:
-      return 4;
-  }
-  return 3;
-}
-
-bool append_line_durably(const std::string& path, const std::string& line) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
-  if (fd < 0) return false;
-  const std::string data = line + "\n";
-  const char* p = data.data();
-  std::size_t len = data.size();
-  while (len > 0) {
-    const ssize_t wrote = ::write(fd, p, len);
-    if (wrote <= 0) {
-      ::close(fd);
-      return false;
-    }
-    p += wrote;
-    len -= static_cast<std::size_t>(wrote);
-  }
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
 
 [[noreturn]] void throw_corrupt(const Conn& conn, const std::string& where) {
   throw CorruptInputError(where, conn.corrupt_offset(),
                           "transport frame: " + conn.corrupt_detail());
 }
 
+std::uint32_t to_u32(const std::string& s) {
+  return static_cast<std::uint32_t>(std::strtoul(s.c_str(), nullptr, 10));
+}
+
 }  // namespace
 
 RemoteWorker::RemoteWorker(RemoteWorkerOptions options)
+    : RemoteWorker(std::move(options), nullptr) {}
+
+RemoteWorker::RemoteWorker(RemoteWorkerOptions options,
+                           std::unique_ptr<Conn> conn)
     : options_(std::move(options)),
-      endpoint_(Endpoint::parse(options_.endpoint)) {
+      conn_(std::move(conn)),
+      adopted_(conn_ != nullptr) {
+  if (!adopted_) endpoint_ = Endpoint::parse(options_.endpoint);
   OMX_REQUIRE(!options_.dir.empty(), "remote worker needs a state directory");
   std::error_code ec;
   fs::create_directories(options_.dir, ec);
@@ -99,57 +68,58 @@ void RemoteWorker::drop_conn() {
   }
 }
 
+bool RemoteWorker::hello(Conn* conn) {
+  const std::string rid = std::to_string(++rid_);
+  if (!conn->send(flat_json::encode(
+          {{"type", "hello"}, {"rid", rid}, {"name", options_.name}}))) {
+    return false;
+  }
+  // A chaos-dropped hello or reply falls out at the deadline and the whole
+  // dial is retried; a socketpair loses nothing, so it just waits.
+  const std::uint64_t deadline = adopted_
+                                     ? std::numeric_limits<std::uint64_t>::max()
+                                     : steady_now_ms() + 1000;
+  while (steady_now_ms() < deadline) {
+    std::string payload;
+    const RecvStatus st = conn->recv(&payload, 100);
+    if (st == RecvStatus::Corrupt) throw_corrupt(*conn, options_.endpoint);
+    if (st == RecvStatus::Closed) return false;
+    if (st != RecvStatus::Ok) continue;
+    flat_json::Object msg;
+    if (!flat_json::parse(payload, &msg) || flat_json::get(msg, "rid") != rid ||
+        flat_json::get(msg, "type") != "helloed") {
+      continue;  // stale frame from a previous connection's window
+    }
+    if (const std::string hb = flat_json::get(msg, "heartbeat_ms");
+        !hb.empty()) {
+      heartbeat_ms_ = std::strtoull(hb.c_str(), nullptr, 10);
+    }
+    watchdog_ms_ =
+        std::strtoull(flat_json::get(msg, "watchdog_ms").c_str(), nullptr, 10);
+    if (const std::string retries = flat_json::get(msg, "retries");
+        !retries.empty()) {
+      // Match the daemon's in-trial retry ladder so every worker produces
+      // the byte-identical line a single-process sweep would.
+      options_.sweep.max_attempts = to_u32(retries);
+    }
+    return true;
+  }
+  return false;
+}
+
 bool RemoteWorker::ensure_connected() {
   if (conn_) return true;
+  if (adopted_) return false;  // a closed socketpair means the daemon died
   std::uint64_t backoff = options_.backoff_base_ms;
   if (!connect_fail_since_) connect_fail_since_ = steady_now_ms();
   for (;;) {
     auto conn = dial_with_chaos(endpoint_, options_.chaos);
-    if (conn) {
-      // Hello handshake, inline (rpc() would recurse into this function).
-      // A chaos-dropped hello or reply falls out at the deadline and the
-      // whole dial is retried.
-      const std::string rid = std::to_string(++rid_);
-      bool helloed = false;
-      if (conn->send(wire::encode({{"type", "hello"},
-                                   {"rid", rid},
-                                   {"name", options_.name}}))) {
-        const std::uint64_t deadline = steady_now_ms() + 1000;
-        while (steady_now_ms() < deadline) {
-          std::string payload;
-          const RecvStatus st = conn->recv(&payload, 100);
-          if (st == RecvStatus::Corrupt) {
-            throw_corrupt(*conn, options_.endpoint);
-          }
-          if (st == RecvStatus::Closed) break;
-          if (st != RecvStatus::Ok) continue;
-          std::map<std::string, std::string> msg;
-          if (!wire::decode(payload, &msg) || wire::get(msg, "rid") != rid ||
-              wire::get(msg, "type") != "helloed") {
-            continue;  // stale frame from a previous connection's window
-          }
-          if (const std::string hb = wire::get(msg, "heartbeat_ms");
-              !hb.empty()) {
-            heartbeat_ms_ = std::strtoull(hb.c_str(), nullptr, 10);
-          }
-          if (const std::string retries = wire::get(msg, "retries");
-              !retries.empty()) {
-            // Match the daemon's in-trial retry ladder so a remote trial
-            // produces the byte-identical line a local fork would.
-            options_.sweep.max_attempts = static_cast<std::uint32_t>(
-                std::strtoul(retries.c_str(), nullptr, 10));
-          }
-          helloed = true;
-          break;
-        }
-      }
-      if (helloed) {
-        conn_ = std::move(conn);
-        if (connected_once_) ++report_.reconnects;
-        connected_once_ = true;
-        connect_fail_since_.reset();
-        return true;
-      }
+    if (conn && hello(conn.get())) {
+      conn_ = std::move(conn);
+      if (connected_once_) ++report_.reconnects;
+      connected_once_ = true;
+      connect_fail_since_.reset();
+      return true;
     }
     if (steady_now_ms() - *connect_fail_since_ >
         options_.reconnect_deadline_ms) {
@@ -161,24 +131,26 @@ bool RemoteWorker::ensure_connected() {
   }
 }
 
-bool RemoteWorker::rpc(const Fields& fields,
-                       std::map<std::string, std::string>* response) {
+bool RemoteWorker::rpc(const Fields& fields, flat_json::Object* response) {
   const std::uint64_t start = steady_now_ms();
   for (;;) {
     if (!ensure_connected()) return false;
     const std::string rid = std::to_string(++rid_);
     Fields with_rid = fields;
     with_rid.insert(with_rid.begin() + 1, {"rid", rid});
-    if (!conn_->send(wire::encode(with_rid))) {
+    if (!conn_->send(flat_json::encode(with_rid))) {
       drop_conn();
     } else {
       const std::uint64_t deadline = steady_now_ms() + kResponseTimeoutMs;
       for (;;) {
+        // A socketpair loses nothing: a slow daemon is waited for, never
+        // re-asked (a re-sent "next" would strand the first lease).
         const std::uint64_t now = steady_now_ms();
-        if (now >= deadline) break;  // response lost — re-send the request
+        if (!adopted_ && now >= deadline) break;  // lost — re-send
         std::string payload;
-        const RecvStatus st =
-            conn_->recv(&payload, static_cast<int>(deadline - now));
+        const RecvStatus st = conn_->recv(
+            &payload, adopted_ ? kResponseTimeoutMs
+                               : static_cast<int>(deadline - now));
         if (st == RecvStatus::Corrupt) {
           throw_corrupt(*conn_, options_.endpoint);
         }
@@ -187,12 +159,12 @@ bool RemoteWorker::rpc(const Fields& fields,
           break;  // severed mid-exchange — reconnect and re-send
         }
         if (st != RecvStatus::Ok) continue;
-        std::map<std::string, std::string> msg;
-        if (!wire::decode(payload, &msg)) continue;
+        flat_json::Object msg;
+        if (!flat_json::parse(payload, &msg)) continue;
         // A duplicated or delayed response answers an rid we have already
         // moved past; discard it — this is what keeps a lossy link from
         // desynchronizing the request/response stream.
-        if (wire::get(msg, "rid") != rid) continue;
+        if (flat_json::get(msg, "rid") != rid) continue;
         *response = std::move(msg);
         return true;
       }
@@ -205,20 +177,30 @@ bool RemoteWorker::rpc(const Fields& fields,
 
 [[noreturn]] void RemoteWorker::trial_child(const std::string& key,
                                             std::uint32_t epoch,
-                                            harness::ExperimentConfig cfg) {
-  // Same hooks the local fork path runs, keyed by the lease epoch so
-  // "crash on first attempt" means the first lease of the item anywhere.
+                                            harness::ExperimentConfig cfg,
+                                            int out_fd) {
+  // The trial never talks to the daemon; only its worker does.
+  if (conn_) conn_->close();
+  // Keyed by the lease epoch so "crash on first attempt" means the first
+  // lease of the item anywhere.
   maybe_run_trial_chaos_hooks(key, epoch);
   harness::Sweep sweep(options_.sweep);
   cfg.threads = 1;  // farm parallelism is process-level
-  const harness::TrialOutcome outcome = sweep.run(cfg);
-  const std::string line = harness::checkpoint_line(key, outcome);
-  if (!append_line_durably(outbox_path(), line)) {
-    std::fprintf(stderr, "remote worker: cannot write %s\n",
-                 outbox_path().c_str());
-    ::_exit(6);
-  }
-  ::_exit(exit_code_for_verdict(outcome.verdict));
+  const std::string line =
+      harness::checkpoint_line(key, sweep.run(cfg)) + "\n";
+  // _exit (not exit): the worker's atexit state is not ours to run.
+  ::_exit(write_all(out_fd, line) ? 0 : 6);
+}
+
+bool RemoteWorker::report_failure(const std::string& key, std::uint32_t epoch,
+                                  bool watchdog) {
+  Fields fields = {
+      {"type", "fail"}, {"key", key}, {"epoch", std::to_string(epoch)}};
+  if (watchdog) fields.push_back({"reason", "watchdog"});
+  flat_json::Object response;
+  if (!rpc(fields, &response)) return false;
+  ++report_.failures_reported;
+  return true;
 }
 
 bool RemoteWorker::submit_line(const std::string& key, std::uint32_t epoch,
@@ -239,9 +221,9 @@ bool RemoteWorker::submit_line(const std::string& key, std::uint32_t epoch,
   }
   const std::uint64_t start = steady_now_ms();
   for (;;) {
-    std::map<std::string, std::string> response;
+    flat_json::Object response;
     if (!rpc(fields, &response)) return false;  // spool keeps the line
-    const std::string type = wire::get(response, "type");
+    const std::string type = flat_json::get(response, "type");
     if (type == "ok") {
       spool_drop(line);
       if (from_spool) {
@@ -270,7 +252,7 @@ bool RemoteWorker::submit_line(const std::string& key, std::uint32_t epoch,
 
 void RemoteWorker::spool_drop(const std::string& line) {
   std::ifstream in(spool_path());
-  std::vector<std::string> keep;
+  std::string kept;
   std::string existing;
   bool dropped = false;
   while (std::getline(in, existing)) {
@@ -278,18 +260,12 @@ void RemoteWorker::spool_drop(const std::string& line) {
       dropped = true;  // drop exactly one copy
       continue;
     }
-    keep.push_back(existing);
+    kept += existing;
+    kept += '\n';
   }
   in.close();
-  const std::string tmp = spool_path() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    for (const auto& l : keep) out << l << "\n";
-    out.flush();
-    if (!out) return;  // keep the old spool; a resubmission dedups anyway
-  }
-  std::error_code ec;
-  fs::rename(tmp, spool_path(), ec);
+  // A failed rewrite keeps the old spool; a resubmission dedups anyway.
+  publish_atomic(spool_path(), kept);
 }
 
 bool RemoteWorker::resubmit_spool() {
@@ -321,118 +297,149 @@ bool RemoteWorker::resubmit_spool() {
 bool RemoteWorker::run_trial(const std::string& key, std::uint32_t epoch,
                              const harness::ExperimentConfig& cfg) {
   ++report_.trials;
-  ::unlink(outbox_path().c_str());
+  int pipe_fds[2];
+  if (::pipe2(pipe_fds, O_CLOEXEC) != 0) {
+    std::fprintf(stderr, "remote worker: pipe failed: %s\n",
+                 std::strerror(errno));
+    return report_failure(key, epoch, /*watchdog=*/false);
+  }
   std::fflush(nullptr);
   const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(pipe_fds[0]);
+    trial_child(key, epoch, cfg, pipe_fds[1]);  // never returns
+  }
+  ::close(pipe_fds[1]);
+  const int out_fd = pipe_fds[0];
   if (pid < 0) {
     std::fprintf(stderr, "remote worker: fork failed: %s\n",
                  std::strerror(errno));
-    std::map<std::string, std::string> response;
-    return rpc({{"type", "fail"},
-                {"key", key},
-                {"epoch", std::to_string(epoch)}},
-               &response);
+    ::close(out_fd);
+    return report_failure(key, epoch, /*watchdog=*/false);
   }
-  if (pid == 0) trial_child(key, epoch, cfg);  // never returns
+  const auto kill_trial = [&] {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+    ::close(out_fd);
+  };
 
-  std::uint64_t next_heartbeat = steady_now_ms() + heartbeat_ms_;
-  int status = 0;
+  // Collect the trial's line from the pipe, heartbeating the lease and
+  // enforcing the watchdog meanwhile. EOF means the trial exited.
+  std::string output;
+  const std::uint64_t started = steady_now_ms();
+  std::uint64_t next_heartbeat = started + heartbeat_ms_;
   for (;;) {
-    const pid_t reaped = ::waitpid(pid, &status, WNOHANG);
-    if (reaped == pid) break;
-    if (reaped < 0) {
-      status = 0;
-      break;
-    }
     const std::uint64_t now = steady_now_ms();
+    if (watchdog_ms_ != 0 && now >= started + watchdog_ms_) {
+      kill_trial();
+      return report_failure(key, epoch, /*watchdog=*/true);
+    }
     if (now >= next_heartbeat) {
-      std::map<std::string, std::string> response;
+      flat_json::Object response;
       if (!rpc({{"type", "heartbeat"},
                 {"key", key},
                 {"epoch", std::to_string(epoch)}},
                &response)) {
-        // Daemon unreachable past the deadline: do not leave an orphan
-        // trial running against a farm that no longer exists.
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, &status, 0);
+        // Daemon unreachable past the deadline (or, for a local worker,
+        // dead): do not leave an orphan trial running against a farm that
+        // no longer exists.
+        kill_trial();
         return false;
       }
       ++report_.heartbeats;
-      if (wire::get(response, "type") == "stale") {
+      if (flat_json::get(response, "type") == "stale") {
         // The lease was superseded (we were presumed dead and the item
         // re-leased). Stop burning CPU on it; if our trial had already
         // finished, the spool/submit path would have deduped anyway.
         ++report_.stale_leases;
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, &status, 0);
+        kill_trial();
         return true;
       }
       next_heartbeat = steady_now_ms() + heartbeat_ms_;
+      continue;
     }
-    ::usleep(10 * 1000);
-  }
-
-  const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  if (code == 0 || code == 2 || code == 3 || code == 4) {
-    std::string line;
-    {
-      std::ifstream in(outbox_path());
-      std::getline(in, line);
-    }
-    std::string parsed_key;
-    harness::TrialOutcome outcome;
-    if (!line.empty() &&
-        harness::parse_checkpoint_line(line, &parsed_key, &outcome) &&
-        parsed_key == key) {
-      // Durable-before-submit: the spool copy survives any crash between
-      // here and the daemon's ack, and the restarted worker resubmits it.
-      if (!append_line_durably(spool_path(), line)) {
-        std::fprintf(stderr, "remote worker: cannot spool result for %s\n",
-                     key.c_str());
-        return true;  // lease will expire; the item re-runs elsewhere
+    std::uint64_t wait = next_heartbeat - now;
+    if (watchdog_ms_ != 0) wait = std::min(wait, started + watchdog_ms_ - now);
+    pollfd pfds[2] = {{out_fd, POLLIN, 0},
+                      {conn_ ? conn_->fd() : -1, POLLRDHUP, 0}};
+    if (::poll(pfds, 2, static_cast<int>(wait)) <= 0) continue;
+    if ((pfds[1].revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0) {
+      // The daemon hung up. A socketpair is never redialed, so a local
+      // worker stops here; a dialed one heartbeats now, which redials.
+      if (adopted_) {
+        kill_trial();
+        drop_conn();
+        return false;
       }
-      if (crash_after_write_hook_hits(key)) ::_exit(9);
-      return submit_line(key, epoch, line, /*from_spool=*/false);
+      next_heartbeat = now;
+      continue;
     }
-    // Exit said "recorded" but the outbox disagrees — treat as a crash.
+    if (pfds[0].revents == 0) continue;
+    char chunk[4096];
+    const ssize_t got = ::read(out_fd, chunk, sizeof chunk);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) break;
+    output.append(chunk, static_cast<std::size_t>(got));
   }
-  std::map<std::string, std::string> response;
-  if (!rpc({{"type", "fail"}, {"key", key}, {"epoch", std::to_string(epoch)}},
-           &response)) {
-    return false;
+  ::close(out_fd);
+  ::waitpid(pid, nullptr, 0);
+
+  // A trial that died before writing its whole line is a crash.
+  std::string parsed_key;
+  harness::TrialOutcome outcome;
+  if (output.empty() || output.back() != '\n') {
+    return report_failure(key, epoch, /*watchdog=*/false);
   }
-  ++report_.failures_reported;
-  return true;
+  output.pop_back();
+  if (!harness::parse_checkpoint_line(output, &parsed_key, &outcome) ||
+      parsed_key != key) {
+    return report_failure(key, epoch, /*watchdog=*/false);
+  }
+  // Durable-before-submit: the spool copy survives any crash between here
+  // and the daemon's ack, and the restarted worker resubmits it.
+  if (!append_line_durably(spool_path(), output)) {
+    std::fprintf(stderr, "remote worker: cannot spool result for %s\n",
+                 key.c_str());
+    return report_failure(key, epoch, /*watchdog=*/false);
+  }
+  if (crash_after_write_hook_hits(key)) ::_exit(9);
+  return submit_line(key, epoch, output, /*from_spool=*/false);
 }
 
 RemoteWorkerReport RemoteWorker::run() {
   ::signal(SIGPIPE, SIG_IGN);
+  if (adopted_ && !hello(conn_.get())) {
+    drop_conn();
+    return report_;
+  }
   if (!resubmit_spool()) return report_;
   for (;;) {
-    std::map<std::string, std::string> response;
+    flat_json::Object response;
     if (!rpc({{"type", "next"}}, &response)) break;  // gave up
-    const std::string type = wire::get(response, "type");
+    const std::string type = flat_json::get(response, "type");
     if (type == "done") {
       report_.daemon_finished = true;
       break;
     }
     if (type == "idle") {
       std::uint64_t poll_ms = options_.idle_poll_ms;
-      if (const std::string p = wire::get(response, "poll_ms"); !p.empty()) {
+      if (const std::string p = flat_json::get(response, "poll_ms");
+          !p.empty()) {
         poll_ms = std::min<std::uint64_t>(
             std::strtoull(p.c_str(), nullptr, 10), options_.idle_poll_ms);
       }
-      ::usleep(static_cast<useconds_t>(std::max<std::uint64_t>(poll_ms, 10) *
-                                       1000));
+      // Sleep, but wake as soon as the daemon hangs up: a local worker must
+      // not outlive its daemon by a whole poll interval.
+      pollfd pfd{conn_->fd(), POLLRDHUP, 0};
+      ::poll(&pfd, 1, static_cast<int>(std::max<std::uint64_t>(poll_ms, 10)));
       continue;
     }
     if (type == "lease") {
-      const std::string key = wire::get(response, "key");
-      const auto epoch = static_cast<std::uint32_t>(std::strtoul(
-          wire::get(response, "epoch").c_str(), nullptr, 10));
+      const std::string key = flat_json::get(response, "key");
+      const std::uint32_t epoch = to_u32(flat_json::get(response, "epoch"));
       harness::ExperimentConfig cfg;
       std::string error;
-      if (!harness::parse_config(wire::get(response, "config"), &cfg,
+      if (!harness::parse_config(flat_json::get(response, "config"), &cfg,
                                  &error)) {
         // The frame checksum passed, so this is a protocol-level surprise
         // (e.g. daemon newer than us). Burn the lease promptly rather than
@@ -440,13 +447,7 @@ RemoteWorkerReport RemoteWorker::run() {
         std::fprintf(stderr,
                      "remote worker: cannot parse leased config for %s: %s\n",
                      key.c_str(), error.c_str());
-        std::map<std::string, std::string> ignored;
-        if (!rpc({{"type", "fail"},
-                  {"key", key},
-                  {"epoch", std::to_string(epoch)}},
-                 &ignored)) {
-          break;
-        }
+        if (!report_failure(key, epoch, /*watchdog=*/false)) break;
         continue;
       }
       if (!run_trial(key, epoch, cfg)) break;

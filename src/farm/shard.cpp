@@ -1,17 +1,12 @@
 #include "farm/shard.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
-#include <vector>
 
 #include "harness/sweep.h"
 #include "support/check.h"
+#include "support/durable.h"
 
 namespace omx::farm {
 
@@ -74,20 +69,11 @@ std::size_t repair_shard(const std::string& shard_path) {
   }
   in.close();
   if (dropped == 0) return 0;
-  const std::string tmp = shard_path + ".repair";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << kept;
-    out.flush();
-    OMX_CHECK(static_cast<bool>(out), "shard repair: cannot write " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, shard_path, ec);
-  OMX_CHECK(!ec, "shard repair: cannot publish " + shard_path + ": " +
-                     ec.message());
+  OMX_CHECK(publish_atomic(shard_path, kept),
+            "shard repair: cannot publish " + shard_path);
   std::fprintf(stderr,
                "farm: shard %s: dropped %zu torn line(s) left by a killed "
-               "worker — the affected trial(s) re-run\n",
+               "process — the affected trial(s) re-run\n",
                shard_path.c_str(), dropped);
   return dropped;
 }
@@ -100,31 +86,8 @@ ShardScan merge_shards(const std::string& shard_dir,
     merged += line;
     merged += '\n';
   }
-  const std::string tmp = out_path + ".tmp";
-  {
-    // write(2) + fsync rather than ofstream: the merged file is the farm's
-    // final product, so its durability must not depend on libc flush
-    // timing relative to the rename.
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    OMX_CHECK(fd >= 0, "merge: cannot create " + tmp);
-    const char* p = merged.data();
-    std::size_t left = merged.size();
-    bool ok = true;
-    while (left > 0 && ok) {
-      const ssize_t wrote = ::write(fd, p, left);
-      ok = wrote > 0;
-      if (ok) {
-        p += wrote;
-        left -= static_cast<std::size_t>(wrote);
-      }
-    }
-    ok = ok && ::fsync(fd) == 0;
-    ::close(fd);
-    OMX_CHECK(ok, "merge: cannot write " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, out_path, ec);
-  OMX_CHECK(!ec, "merge: cannot publish " + out_path + ": " + ec.message());
+  OMX_CHECK(publish_atomic(out_path, merged),
+            "merge: cannot publish " + out_path);
   return scan;
 }
 

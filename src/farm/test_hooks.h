@@ -1,17 +1,17 @@
-// Environment-driven chaos hooks shared by the local fork-worker path
-// (farm.cpp) and the remote worker (remote_worker.cpp), so the same test
-// and CI recipes can crash or hang a trial regardless of which transport
-// leased it. All hooks are inert unless their variable is set:
+// Environment-driven chaos hooks for the farm's trial processes and
+// workers, so the same test and CI recipes can crash or hang a trial
+// whether a local or a dialed worker leased it. All hooks are inert unless
+// their variable is set:
 //
 //   OMX_FARM_TEST_CRASH_KEY=<key>        SIGKILL the trial process on the
 //                                        first attempt at <key>
-//   OMX_FARM_TEST_HANG_KEY=<key>[:once]  hang the trial until the parent
-//                                        daemon/worker dies (every attempt,
-//                                        or only the first with ":once")
+//   OMX_FARM_TEST_HANG_KEY=<key>[:once]  hang the trial until its worker
+//                                        dies (every attempt, or only the
+//                                        first with ":once")
 //   OMX_FARM_TEST_CRASH_AFTER_WRITE_KEY=<key>
-//                                        remote worker only: _exit(9) after
-//                                        the result line is durable in the
-//                                        local spool but before it is
+//                                        the worker _exit(9)s after the
+//                                        result line is durable in its
+//                                        spool but before it is
 //                                        submitted/acked — the
 //                                        duplicate-submission oracle (a
 //                                        restarted worker must resubmit and
@@ -43,8 +43,8 @@ inline void maybe_run_trial_chaos_hooks(const std::string& key,
       spec.resize(colon);
     }
     if (key == spec && (!once || attempt == 1)) {
-      // Hang until the parent is gone (reparenting changes getppid), then
-      // exit: a SIGKILL'd daemon must not leak paused trial processes.
+      // Hang until the worker is gone (reparenting changes getppid), then
+      // exit: a SIGKILL'd worker must not leak paused trial processes.
       const pid_t parent = ::getppid();
       while (::getppid() == parent) ::usleep(50 * 1000);
       ::_exit(9);
@@ -52,8 +52,8 @@ inline void maybe_run_trial_chaos_hooks(const std::string& key,
   }
 }
 
-/// True iff the crash-after-write hook targets `key` (remote worker only;
-/// the caller _exit(9)s between spool write and submission).
+/// True iff the crash-after-write hook targets `key` (the worker _exit(9)s
+/// between spool write and submission).
 inline bool crash_after_write_hook_hits(const std::string& key) {
   const char* target = std::getenv("OMX_FARM_TEST_CRASH_AFTER_WRITE_KEY");
   return target != nullptr && key == target;

@@ -57,13 +57,6 @@ std::uint64_t get_u64(const char* p) {
          static_cast<std::uint64_t>(get_u32(p + 4)) << 32;
 }
 
-std::uint64_t steady_now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// The one concrete connection: framing over any stream fd.
 class FdConn final : public Conn {
  public:
@@ -210,6 +203,13 @@ int make_tcp_socket(const Endpoint& ep, sockaddr_in* addr) {
 
 }  // namespace
 
+std::uint64_t steady_now_ms() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 // ---------------------------------------------------------------------------
 // Endpoint.
 
@@ -330,148 +330,6 @@ std::unique_ptr<Conn> Listener::accept(int timeout_ms) {
   }
   return std::make_unique<FdConn>(client);
 }
-
-// ---------------------------------------------------------------------------
-// Wire codec.
-
-namespace wire {
-
-namespace {
-
-void append_escaped(std::string* out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        *out += c;
-    }
-  }
-}
-
-/// Parse a JSON string starting at text[*i] == '"'. Advances *i past the
-/// closing quote.
-bool parse_string(const std::string& text, std::size_t* i, std::string* out) {
-  if (*i >= text.size() || text[*i] != '"') return false;
-  ++*i;
-  out->clear();
-  while (*i < text.size()) {
-    const char c = text[*i];
-    if (c == '"') {
-      ++*i;
-      return true;
-    }
-    if (c == '\\') {
-      ++*i;
-      if (*i >= text.size()) return false;
-      switch (text[*i]) {
-        case '"':
-          *out += '"';
-          break;
-        case '\\':
-          *out += '\\';
-          break;
-        case 'n':
-          *out += '\n';
-          break;
-        case 't':
-          *out += '\t';
-          break;
-        case 'r':
-          *out += '\r';
-          break;
-        case '/':
-          *out += '/';
-          break;
-        default:
-          return false;
-      }
-      ++*i;
-      continue;
-    }
-    *out += c;
-    ++*i;
-  }
-  return false;
-}
-
-void skip_ws(const std::string& text, std::size_t* i) {
-  while (*i < text.size() &&
-         (text[*i] == ' ' || text[*i] == '\t' || text[*i] == '\n' ||
-          text[*i] == '\r')) {
-    ++*i;
-  }
-}
-
-}  // namespace
-
-std::string encode(
-    const std::vector<std::pair<std::string, std::string>>& fields) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : fields) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    append_escaped(&out, k);
-    out += "\":\"";
-    append_escaped(&out, v);
-    out += '"';
-  }
-  out += '}';
-  return out;
-}
-
-bool decode(const std::string& payload,
-            std::map<std::string, std::string>* out) {
-  out->clear();
-  std::size_t i = 0;
-  skip_ws(payload, &i);
-  if (i >= payload.size() || payload[i] != '{') return false;
-  ++i;
-  skip_ws(payload, &i);
-  if (i < payload.size() && payload[i] == '}') return true;  // empty object
-  for (;;) {
-    std::string key, value;
-    skip_ws(payload, &i);
-    if (!parse_string(payload, &i, &key)) return false;
-    skip_ws(payload, &i);
-    if (i >= payload.size() || payload[i] != ':') return false;
-    ++i;
-    skip_ws(payload, &i);
-    if (!parse_string(payload, &i, &value)) return false;
-    (*out)[key] = value;
-    skip_ws(payload, &i);
-    if (i >= payload.size()) return false;
-    if (payload[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (payload[i] == '}') return true;
-    return false;
-  }
-}
-
-std::string get(const std::map<std::string, std::string>& msg,
-                const std::string& key) {
-  const auto it = msg.find(key);
-  return it == msg.end() ? std::string() : it->second;
-}
-
-}  // namespace wire
 
 // ---------------------------------------------------------------------------
 // Deterministic fault injection.

@@ -8,9 +8,8 @@
 // supplies the three layers that make that testable:
 //
 //   * Endpoint — "unix:<path>" or "tcp:<host>:<port>" (bare host:port is
-//     TCP), so the daemon's worker port and the status socket share one
-//     address grammar and every protocol above runs unchanged on either
-//     backend;
+//     TCP), so the one framed protocol (workers, status and results
+//     clients) runs unchanged on either backend;
 //   * framing — each frame is a 16-byte header (magic "OMXF", little-endian
 //     payload length, FNV-1a checksum of the payload) followed by the
 //     payload. A torn or bit-flipped frame fails the magic/length/checksum
@@ -24,19 +23,20 @@
 //     (xorshift64 over the spec seed), so the network-chaos matrix replays
 //     the same misbehavior on every run.
 //
-// Framed payloads are flat string maps encoded by wire::encode (a minimal
-// one-level JSON object). The protocol messages themselves are defined by
+// Framed payloads are flat string maps in the project's one flat-JSON codec
+// (support/flat_json.h). The protocol messages themselves are defined by
 // their users: farm.h (daemon side) and remote_worker.h (worker side).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace omx::farm {
+
+/// Monotonic milliseconds: lease deadlines, RPC and recv timeouts.
+std::uint64_t steady_now_ms();
 
 // ---------------------------------------------------------------------------
 // Endpoints.
@@ -92,8 +92,8 @@ class Conn {
 /// allocation request. Configs and result lines are tiny; 16 MiB is generous.
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 
-/// Wrap an already-connected fd (socketpair halves in tests, accepted
-/// sockets in the daemon) in the framing layer.
+/// Wrap an already-connected fd (socketpair halves for local workers and
+/// tests, accepted sockets in the daemon) in the framing layer.
 std::unique_ptr<Conn> adopt_fd(int fd);
 
 /// Connect to an endpoint. Returns nullptr on failure (connection refused,
@@ -121,26 +121,6 @@ class Listener {
   int fd_ = -1;
   Endpoint endpoint_;
 };
-
-// ---------------------------------------------------------------------------
-// Wire codec: flat string-map payloads as one-level JSON objects.
-
-namespace wire {
-
-/// {"k":"v",...} with JSON string escaping; preserves field order.
-std::string encode(
-    const std::vector<std::pair<std::string, std::string>>& fields);
-
-/// Inverse of encode (accepts any flat all-string JSON object). Returns
-/// false on malformed input.
-bool decode(const std::string& payload,
-            std::map<std::string, std::string>* out);
-
-/// Convenience: out[key] or "" when absent.
-std::string get(const std::map<std::string, std::string>& msg,
-                const std::string& key);
-
-}  // namespace wire
 
 // ---------------------------------------------------------------------------
 // Deterministic fault injection.

@@ -14,8 +14,7 @@ WorkQueue::WorkQueue(WorkQueueOptions options, Clock now)
 }
 
 bool WorkQueue::add(std::string key, harness::ExperimentConfig config) {
-  if (std::find(keys_.begin(), keys_.end(), key) != keys_.end()) return false;
-  keys_.push_back(key);
+  if (find(key)) return false;
   WorkItem item;
   item.key = std::move(key);
   item.config = std::move(config);
@@ -24,17 +23,12 @@ bool WorkQueue::add(std::string key, harness::ExperimentConfig config) {
 }
 
 bool WorkQueue::mark_done(const std::string& key) {
-  for (auto& item : items_) {
-    if (item.key == key) {
-      item.state = ItemState::Done;
-      return true;
-    }
-  }
-  return false;
+  const auto index = find(key);
+  if (index) items_[*index].state = ItemState::Done;
+  return index.has_value();
 }
 
-std::optional<std::size_t> WorkQueue::acquire(int worker_slot,
-                                              std::int64_t pid) {
+std::optional<std::size_t> WorkQueue::acquire() {
   const std::uint64_t now = now_();
   for (std::size_t i = 0; i < items_.size(); ++i) {
     WorkItem& item = items_[i];
@@ -43,8 +37,6 @@ std::optional<std::size_t> WorkQueue::acquire(int worker_slot,
     item.state = ItemState::Leased;
     ++item.attempts;
     if (item.attempts > 1) ++retries_;
-    item.worker_slot = worker_slot;
-    item.worker_pid = pid;
     item.lease_deadline_ms =
         options_.watchdog_ms == 0 ? 0 : now + options_.watchdog_ms;
     item.watchdog_fired = false;
@@ -53,21 +45,10 @@ std::optional<std::size_t> WorkQueue::acquire(int worker_slot,
   return std::nullopt;
 }
 
-void WorkQueue::complete(std::size_t index) {
-  WorkItem& item = items_.at(index);
-  OMX_CHECK(item.state == ItemState::Leased,
-            "completing an item that is not leased: " + item.key);
-  item.state = ItemState::Done;
-  item.worker_slot = -1;
-  item.worker_pid = -1;
-}
-
 bool WorkQueue::fail(std::size_t index) {
   WorkItem& item = items_.at(index);
   OMX_CHECK(item.state == ItemState::Leased,
             "failing an item that is not leased: " + item.key);
-  item.worker_slot = -1;
-  item.worker_pid = -1;
   if (item.attempts >= options_.max_attempts) {
     item.state = ItemState::Failed;
     return false;

@@ -4,21 +4,22 @@
 // canonical config hash. The queue owns the retry/backoff policy that makes
 // the farm's failure story stronger than the in-process verdict taxonomy:
 //
-//   * acquire() leases the earliest eligible pending item to a worker slot;
-//     a lease carries a watchdog deadline (now + watchdog_ms);
-//   * complete() retires a leased item (its result line is already durable
-//     in a shard before the daemon calls this);
-//   * fail() returns a leased item to the queue — a crashed (signaled) or
-//     hung (watchdog-killed) worker burns only its lease. Each failure
+//   * acquire() leases the earliest eligible pending item to a worker; a
+//     lease carries a watchdog deadline (now + watchdog_ms), which the
+//     worker's heartbeats push out;
+//   * mark_done() retires an item whose result line is durable in a shard
+//     (accepted from a worker, or found there on resume);
+//   * fail() returns a leased item to the queue — a crashed or hung trial,
+//     or a dead worker, burns only its lease. Each failure
 //     increments the item's attempt count; the item becomes eligible again
 //     after an exponential backoff (backoff_base_ms << (attempts-1), capped)
 //     so a deterministic crasher cannot hot-loop the farm. Once the retry
 //     budget (max_attempts) is exhausted the item is marked Failed and the
 //     caller records a synthetic outcome for it;
-//   * expired() lists leases whose watchdog deadline has passed so the
-//     daemon can SIGKILL the hung worker and fail() the lease. Remote
-//     leases (no pid to kill) are failed directly: a silent worker's item
-//     re-queues and its late result, if it ever arrives, deduplicates.
+//   * expired() lists leases whose watchdog deadline has passed (their
+//     worker stopped heartbeating) so the daemon can fail() them: a silent
+//     worker's item re-queues and its late result, if it ever arrives,
+//     deduplicates.
 //
 // Lease epochs: an item's attempt counter doubles as a monotonic lease
 // epoch. Every message a remote worker sends about a lease (heartbeat,
@@ -66,15 +67,13 @@ struct WorkItem {
   std::uint32_t attempts = 0;        // leases granted so far
   std::uint64_t eligible_at_ms = 0;  // backoff gate (0 = immediately)
   // Lease bookkeeping (valid while state == Leased):
-  int worker_slot = -1;
-  std::int64_t worker_pid = -1;
   std::uint64_t lease_deadline_ms = 0;
   bool watchdog_fired = false;  // this lease was killed by the watchdog
 };
 
 struct WorkQueueOptions {
-  /// Lease watchdog: a worker that has not finished within this many ms is
-  /// SIGKILLed and its lease failed. 0 = no watchdog.
+  /// Lease watchdog: a lease not renewed within this many ms is failed.
+  /// 0 = no watchdog.
   std::uint64_t watchdog_ms = 0;
   /// Total leases per item (1 = no farm-level retry).
   std::uint32_t max_attempts = 3;
@@ -94,25 +93,17 @@ class WorkQueue {
   /// the grid expansion must not double-run a cell.
   bool add(std::string key, harness::ExperimentConfig config);
 
-  /// Mark a key done without running it (resume: its line was found in a
-  /// shard). Returns false if the key is unknown.
+  /// Mark a key done: its line is durable in a shard (accepted from a
+  /// worker, or found there on resume). Returns false if the key is unknown.
   bool mark_done(const std::string& key);
 
-  /// Lease the earliest eligible pending item to `worker_slot`, or nullopt
-  /// if none is eligible right now. The item's attempt count is
-  /// incremented; the lease deadline is now + watchdog_ms.
-  std::optional<std::size_t> acquire(int worker_slot, std::int64_t pid);
+  /// Lease the earliest eligible pending item, or nullopt if none is
+  /// eligible right now. The item's attempt count is incremented; the lease
+  /// deadline is now + watchdog_ms.
+  std::optional<std::size_t> acquire();
 
-  /// Record the worker pid a lease landed in (the daemon only learns the
-  /// pid after acquire(), once fork() returns).
-  void set_lease_pid(std::size_t index, std::int64_t pid) {
-    items_.at(index).worker_pid = pid;
-  }
-
-  /// Retire a leased item whose result is durable.
-  void complete(std::size_t index);
-
-  /// Fail the current lease (worker crashed or was watchdog-killed).
+  /// Fail the current lease (trial crashed or hung, worker died or went
+  /// silent).
   /// Returns true if the item was re-queued (with backoff), false if its
   /// retry budget is exhausted and it is now Failed.
   bool fail(std::size_t index);
@@ -127,7 +118,7 @@ class WorkQueue {
   bool renew(std::size_t index, std::uint32_t epoch);
 
   /// Indices of leased items whose watchdog deadline has passed (marks
-  /// them watchdog_fired so the daemon kills each hung worker once).
+  /// them watchdog_fired so the daemon fails each lease once).
   std::vector<std::size_t> expired();
 
   /// Milliseconds until the next item becomes eligible or the next lease
@@ -145,7 +136,6 @@ class WorkQueue {
   WorkQueueOptions options_;
   Clock now_;
   std::vector<WorkItem> items_;
-  std::vector<std::string> keys_;  // insertion order, for duplicate checks
   std::uint64_t retries_ = 0;
 };
 

@@ -11,6 +11,7 @@
 
 #include "rng/ledger.h"
 #include "support/check.h"
+#include "support/flat_json.h"
 #include "support/prng.h"
 #include "trace/trace.h"
 
@@ -59,108 +60,6 @@ std::string format_double(double v) {
   return buf;
 }
 
-// --- minimal JSON (flat objects of strings / integers / bools) ---
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Parse one flat JSON object {"k":v,...} with string / number / bool
-/// values. Tolerant of nothing else — checkpoint lines are machine-written
-/// — so any deviation (e.g. a line torn by kill -9) simply fails.
-bool parse_flat_json(const std::string& line,
-                     std::unordered_map<std::string, std::string>* out) {
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  const auto parse_string = [&](std::string* s) -> bool {
-    if (i >= line.size() || line[i] != '"') return false;
-    ++i;
-    s->clear();
-    while (i < line.size() && line[i] != '"') {
-      if (line[i] == '\\') {
-        if (i + 1 >= line.size()) return false;
-        const char e = line[i + 1];
-        i += 2;
-        switch (e) {
-          case '"': *s += '"'; break;
-          case '\\': *s += '\\'; break;
-          case '/': *s += '/'; break;
-          case 'n': *s += '\n'; break;
-          case 'r': *s += '\r'; break;
-          case 't': *s += '\t'; break;
-          case 'u': {
-            if (i + 4 > line.size()) return false;
-            const unsigned code = static_cast<unsigned>(
-                std::strtoul(line.substr(i, 4).c_str(), nullptr, 16));
-            i += 4;
-            *s += static_cast<char>(code);  // checkpoint only escapes < 0x20
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        *s += line[i++];
-      }
-    }
-    if (i >= line.size()) return false;
-    ++i;  // closing quote
-    return true;
-  };
-
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') return false;
-  ++i;
-  skip_ws();
-  if (i < line.size() && line[i] == '}') return true;
-  while (true) {
-    skip_ws();
-    std::string key;
-    if (!parse_string(&key)) return false;
-    skip_ws();
-    if (i >= line.size() || line[i] != ':') return false;
-    ++i;
-    skip_ws();
-    std::string value;
-    if (i < line.size() && line[i] == '"') {
-      if (!parse_string(&value)) return false;
-    } else {
-      const std::size_t start = i;
-      while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
-      value = line.substr(start, i - start);
-      while (!value.empty() && (value.back() == ' ' || value.back() == '\t'))
-        value.pop_back();
-      if (value.empty()) return false;
-    }
-    (*out)[key] = value;
-    skip_ws();
-    if (i >= line.size()) return false;
-    if (line[i] == '}') return true;
-    if (line[i] != ',') return false;
-    ++i;
-  }
-}
-
 std::uint64_t to_u64(const std::string& s) {
   return std::strtoull(s.c_str(), nullptr, 10);
 }
@@ -192,15 +91,15 @@ std::string checkpoint_line(const std::string& key, const TrialOutcome& o) {
      << ",\"all_decided\":" << (r.all_nonfaulty_decided ? "true" : "false")
      << ",\"hit_round_cap\":" << (r.hit_round_cap ? "true" : "false")
      << ",\"hit_deadline\":" << (r.hit_deadline ? "true" : "false")
-     << ",\"error\":\"" << json_escape(o.error) << "\""
-     << ",\"repro\":\"" << json_escape(o.repro_path) << "\"}";
+     << ",\"error\":\"" << flat_json::escape(o.error) << "\""
+     << ",\"repro\":\"" << flat_json::escape(o.repro_path) << "\"}";
   return os.str();
 }
 
 bool parse_checkpoint_line(const std::string& line, std::string* key,
                            TrialOutcome* o) {
-  std::unordered_map<std::string, std::string> kv;
-  if (!parse_flat_json(line, &kv)) return false;
+  flat_json::Object kv;
+  if (!flat_json::parse(line, &kv)) return false;
   const auto need = [&](const char* k, std::string* dst) -> bool {
     const auto it = kv.find(k);
     if (it == kv.end()) return false;

@@ -131,7 +131,7 @@ std::uint64_t config_hash(const ExperimentConfig& cfg);
 std::string config_key(const ExperimentConfig& cfg);
 
 /// One checkpoint/shard line for an outcome: the JSONL record format shared
-/// by Sweep's checkpoint file and the farm's per-worker shards, so a farm's
+/// by Sweep's checkpoint file and the farm's shards, so a farm's
 /// merged results are line-for-line comparable with a single-process
 /// sweep's checkpoint. No trailing newline.
 std::string checkpoint_line(const std::string& key, const TrialOutcome& o);

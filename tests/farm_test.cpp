@@ -1,8 +1,9 @@
 // The sweep farm: lease/retry/backoff policy on an injected clock (no
 // sleeping), shard scan/repair/merge torn-tail tolerance, and the daemon
-// end-to-end — fork-isolated workers, crash and hang chaos via the test
-// hooks, resume from shards, and the headline contract that a farm's merged
-// output equals a single-process Sweep's checkpoint after canonical sort.
+// end-to-end — forked local workers, crash and hang chaos via the test
+// hooks, resume from shards, status over the default endpoint, and the
+// headline contract that a farm's merged output equals a single-process
+// Sweep's checkpoint after canonical sort.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -61,7 +62,6 @@ FarmOptions fast_opts(const fs::path& dir) {
   o.dir = dir.string();
   o.workers = 3;
   o.backoff_base_ms = 1;
-  o.serve_socket = false;
   o.use_artifact_cache = false;
   o.sweep.capture_repro = false;
   o.sweep.capture_trace = false;
@@ -80,7 +80,7 @@ TEST(WorkQueue, LeaseExpiresOnceAndRetriesExactlyPerBudget) {
   WorkQueue q(o, [&] { return now; });
   ASSERT_TRUE(q.add("k", tiny(1)));
 
-  const auto idx = q.acquire(/*worker_slot=*/0, /*pid=*/111);
+  const auto idx = q.acquire();
   ASSERT_TRUE(idx.has_value());
   EXPECT_EQ(q.item(*idx).attempts, 1u);
   EXPECT_EQ(q.item(*idx).lease_deadline_ms, 100u);
@@ -89,17 +89,17 @@ TEST(WorkQueue, LeaseExpiresOnceAndRetriesExactlyPerBudget) {
   EXPECT_TRUE(q.expired().empty());
   now = 100;
   EXPECT_EQ(q.expired(), std::vector<std::size_t>{*idx});
-  // The watchdog fires once per lease: the daemon SIGKILLs once, not in a
-  // loop while the zombie is being reaped.
+  // The watchdog fires once per lease: the daemon fails it once, not in a
+  // loop on every pass of its event loop.
   EXPECT_TRUE(q.expired().empty());
 
   EXPECT_TRUE(q.fail(*idx));  // re-queued: budget allows a second lease
   EXPECT_EQ(q.count(ItemState::Pending), 1u);
-  EXPECT_FALSE(q.acquire(0, 112).has_value());  // backoff gates it
+  EXPECT_FALSE(q.acquire().has_value());  // backoff gates it
   EXPECT_EQ(q.next_deadline_in(), std::uint64_t{10});
 
   now = 110;
-  const auto again = q.acquire(0, 112);
+  const auto again = q.acquire();
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(q.item(*again).attempts, 2u);
   EXPECT_EQ(q.retries(), 1u);  // re-leased exactly once
@@ -123,7 +123,7 @@ TEST(WorkQueue, BackoffDoublesUpToTheCap) {
 
   std::vector<std::uint64_t> waits;
   for (int round = 0; round < 4; ++round) {
-    const auto idx = q.acquire(0, 1);
+    const auto idx = q.acquire();
     ASSERT_TRUE(idx.has_value());
     ASSERT_TRUE(q.fail(*idx));
     waits.push_back(q.item(*idx).eligible_at_ms - now);
@@ -209,7 +209,7 @@ TEST(Shards, MergePublishesCanonicalKeyOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Farm end-to-end (real fork/reap; trials are sub-millisecond).
+// Farm end-to-end (real forked workers; trials are sub-millisecond).
 
 TEST(Farm, MergedOutputEqualsSingleProcessSweep) {
   const fs::path dir = scratch("e2e");
@@ -348,15 +348,28 @@ TEST(Farm, ResumesFromShardsAndToleratesTornTails) {
 }
 
 // ---------------------------------------------------------------------------
-// The status/results socket.
+// Status and results over the daemon's framed endpoint.
 
-TEST(FarmSocket, QueryWithoutADaemonThrowsPrecondition) {
-  const fs::path dir = scratch("no_daemon");
-  EXPECT_THROW(Farm::query(dir.string(), "status"), PreconditionError);
+/// One framed request to the endpoint `<dir>/endpoint` names; the decoded
+/// response, or an empty object while no daemon is up yet.
+flat_json::Object query(const fs::path& farm_dir, const std::string& type) {
+  std::ifstream in(Farm::endpoint_path_for(farm_dir.string()));
+  std::string endpoint;
+  if (!std::getline(in, endpoint) || endpoint.empty()) return {};
+  auto conn = dial(Endpoint::parse(endpoint));
+  flat_json::Object response;
+  std::string payload;
+  if (conn == nullptr ||
+      !conn->send(flat_json::encode({{"type", type}, {"rid", "1"}})) ||
+      conn->recv(&payload, 5000) != RecvStatus::Ok ||
+      !flat_json::parse(payload, &response)) {
+    return {};
+  }
+  return response;
 }
 
-TEST(FarmSocket, ServesStatusAndResultsWhileRunning) {
-  const fs::path dir = scratch("socket");
+TEST(FarmStatus, ServesStatusAndResultsOverTheDefaultEndpoint) {
+  const fs::path dir = scratch("status");
   // The daemon child runs one item that hangs forever (no watchdog), so it
   // stays alive to be queried; the parent SIGKILLs it when done — which is
   // itself a daemon-death the farm design must shrug off.
@@ -365,7 +378,6 @@ TEST(FarmSocket, ServesStatusAndResultsWhileRunning) {
   ASSERT_GE(daemon_pid, 0);
   if (daemon_pid == 0) {
     FarmOptions opts = fast_opts(dir / "farm");
-    opts.serve_socket = true;
     opts.workers = 1;
     Farm farm(opts);
     farm.add(tiny(1));
@@ -377,21 +389,22 @@ TEST(FarmSocket, ServesStatusAndResultsWhileRunning) {
   std::string status;
   for (int i = 0; i < 250 && status.find("\"leased\":1") == std::string::npos;
        ++i) {
-    try {
-      status = Farm::query((dir / "farm").string(), "status");
-    } catch (const PreconditionError&) {
-      // Socket not up yet.
-    }
+    status = flat_json::get(query(dir / "farm", "status"), "json");
     ::usleep(20 * 1000);
   }
   EXPECT_NE(status.find("\"items\":1"), std::string::npos) << status;
   EXPECT_NE(status.find("\"leased\":1"), std::string::npos) << status;
+  // `run`'s default endpoint is the farm directory's own socket.
+  EXPECT_NE(status.find("farm.sock"), std::string::npos) << status;
 
-  const std::string results = Farm::query((dir / "farm").string(), "results");
-  EXPECT_EQ(results, "");  // nothing durable yet — the only item hangs
+  const auto results = query(dir / "farm", "results");
+  EXPECT_EQ(flat_json::get(results, "type"), "results");
+  EXPECT_EQ(flat_json::get(results, "lines"), "");  // the only item hangs
 
-  const std::string bogus = Farm::query((dir / "farm").string(), "frobnicate");
-  EXPECT_NE(bogus.find("unknown request"), std::string::npos) << bogus;
+  const auto bogus = query(dir / "farm", "frobnicate");
+  EXPECT_EQ(flat_json::get(bogus, "type"), "error");
+  EXPECT_NE(flat_json::get(bogus, "detail").find("unknown"),
+            std::string::npos);
 
   ::kill(daemon_pid, SIGKILL);
   int ignored = 0;

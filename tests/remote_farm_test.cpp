@@ -1,8 +1,8 @@
 // The farm's remote-worker protocol: lease/heartbeat/result semantics
 // driven directly through Farm::handle_request (no sockets), then the real
 // thing end-to-end — forked `RemoteWorker` processes over TCP and AF_UNIX,
-// crash-after-write resubmission, and a chaos link — all converging to a
-// merged file byte-identical to a single-process sweep.
+// crash-after-write resubmission, the trial watchdog, and a chaos link —
+// all converging to a merged file byte-identical to a single-process sweep.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -68,7 +68,6 @@ FarmOptions remote_only_opts(const fs::path& dir) {
   o.workers = 0;  // every trial must cross the wire
   o.listen = "tcp:127.0.0.1:0";
   o.backoff_base_ms = 1;
-  o.serve_socket = false;
   o.use_artifact_cache = false;
   o.sweep.capture_repro = false;
   o.sweep.capture_trace = false;
@@ -79,18 +78,18 @@ FarmOptions remote_only_opts(const fs::path& dir) {
 // Protocol unit tests: one decoded request in, one response out.
 
 /// Send one request through handle_request and decode the reply.
-std::map<std::string, std::string> ask(
+flat_json::Object ask(
     Farm* farm, Farm::RemotePeer* peer,
     std::vector<std::pair<std::string, std::string>> fields) {
   static std::uint64_t rid = 100;
   fields.insert(fields.begin() + 1, {"rid", std::to_string(++rid)});
-  std::map<std::string, std::string> request;
-  EXPECT_TRUE(wire::decode(wire::encode(fields), &request));
-  std::map<std::string, std::string> response;
-  EXPECT_TRUE(wire::decode(farm->handle_request(request, peer), &response));
+  flat_json::Object request;
+  EXPECT_TRUE(flat_json::parse(flat_json::encode(fields), &request));
+  flat_json::Object response;
+  EXPECT_TRUE(flat_json::parse(farm->handle_request(request, peer), &response));
   // Every response echoes the request's rid — the worker's only defense
   // against duplicated/delayed responses desynchronizing its RPC stream.
-  EXPECT_EQ(wire::get(response, "rid"), std::to_string(rid));
+  EXPECT_EQ(flat_json::get(response, "rid"), std::to_string(rid));
   return response;
 }
 
@@ -111,50 +110,52 @@ TEST(RemoteProtocol, LeaseLifecycleFromHelloToDone) {
 
   Farm::RemotePeer peer;
   auto r = ask(&farm, &peer, {{"type", "hello"}, {"name", "w0"}});
-  EXPECT_EQ(wire::get(r, "type"), "helloed");
-  EXPECT_EQ(wire::get(r, "heartbeat_ms"), "1000");  // no watchdog → default
+  EXPECT_EQ(flat_json::get(r, "type"), "helloed");
+  // No watchdog: the default heartbeat, and no trial watchdog.
+  EXPECT_EQ(flat_json::get(r, "heartbeat_ms"), "1000");
+  EXPECT_EQ(flat_json::get(r, "watchdog_ms"), "0");
   EXPECT_EQ(peer.name, "w0");
 
   r = ask(&farm, &peer, {{"type", "next"}});
-  ASSERT_EQ(wire::get(r, "type"), "lease");
-  EXPECT_EQ(wire::get(r, "key"), key);
-  EXPECT_EQ(wire::get(r, "epoch"), "1");  // first lease = first attempt
+  ASSERT_EQ(flat_json::get(r, "type"), "lease");
+  EXPECT_EQ(flat_json::get(r, "key"), key);
+  EXPECT_EQ(flat_json::get(r, "epoch"), "1");  // first lease = first attempt
   harness::ExperimentConfig leased;
   std::string error;
-  ASSERT_TRUE(harness::parse_config(wire::get(r, "config"), &leased, &error))
+  ASSERT_TRUE(
+      harness::parse_config(flat_json::get(r, "config"), &leased, &error))
       << error;
   EXPECT_EQ(harness::config_key(leased), key);  // config survives the wire
 
   // The only item is leased: another hungry worker polls.
   r = ask(&farm, &peer, {{"type", "next"}});
-  EXPECT_EQ(wire::get(r, "type"), "idle");
-  EXPECT_NE(wire::get(r, "poll_ms"), "");
+  EXPECT_EQ(flat_json::get(r, "type"), "idle");
+  EXPECT_NE(flat_json::get(r, "poll_ms"), "");
 
   // Heartbeats renew only the current epoch.
   r = ask(&farm, &peer, {{"type", "heartbeat"}, {"key", key}, {"epoch", "1"}});
-  EXPECT_EQ(wire::get(r, "type"), "ok");
+  EXPECT_EQ(flat_json::get(r, "type"), "ok");
   r = ask(&farm, &peer, {{"type", "heartbeat"}, {"key", key}, {"epoch", "2"}});
-  EXPECT_EQ(wire::get(r, "type"), "stale");
+  EXPECT_EQ(flat_json::get(r, "type"), "stale");
 
   r = ask(&farm, &peer,
           {{"type", "result"}, {"key", key}, {"epoch", "1"},
            {"line", line_for(key)}});
-  EXPECT_EQ(wire::get(r, "type"), "ok");
-  EXPECT_NE(farm.status_json().find("\"remote_results\":1"),
-            std::string::npos);
+  EXPECT_EQ(flat_json::get(r, "type"), "ok");
+  EXPECT_NE(farm.status_json().find("\"done\":1,"), std::string::npos);
 
   // Idempotent resubmission: same key again is acked and dropped, so no
   // config hash can ever yield two merged rows.
   r = ask(&farm, &peer,
           {{"type", "result"}, {"key", key}, {"epoch", "1"},
            {"line", line_for(key)}});
-  EXPECT_EQ(wire::get(r, "type"), "ok");
+  EXPECT_EQ(flat_json::get(r, "type"), "ok");
   EXPECT_NE(farm.status_json().find("\"duplicate_results\":1"),
             std::string::npos);
 
   // Grid settled: the next ask ends the worker's run loop.
   r = ask(&farm, &peer, {{"type", "next"}});
-  EXPECT_EQ(wire::get(r, "type"), "done");
+  EXPECT_EQ(flat_json::get(r, "type"), "done");
 }
 
 TEST(RemoteProtocol, FailReportsAreEpochGatedAndReQueue) {
@@ -168,36 +169,42 @@ TEST(RemoteProtocol, FailReportsAreEpochGatedAndReQueue) {
   Farm::RemotePeer peer;
 
   auto r = ask(&farm, &peer, {{"type", "next"}});
-  ASSERT_EQ(wire::get(r, "type"), "lease");
+  ASSERT_EQ(flat_json::get(r, "type"), "lease");
 
   // A delayed failure report from a previous life must be inert.
   r = ask(&farm, &peer, {{"type", "fail"}, {"key", key}, {"epoch", "9"}});
-  EXPECT_EQ(wire::get(r, "type"), "stale");
+  EXPECT_EQ(flat_json::get(r, "type"), "stale");
   // The current epoch's report burns the lease and re-queues the item.
   r = ask(&farm, &peer, {{"type", "fail"}, {"key", key}, {"epoch", "1"}});
-  EXPECT_EQ(wire::get(r, "type"), "ok");
+  EXPECT_EQ(flat_json::get(r, "type"), "ok");
 
   ::usleep(5 * 1000);  // past the 1 ms retry backoff
   r = ask(&farm, &peer, {{"type", "next"}});
-  ASSERT_EQ(wire::get(r, "type"), "lease");
-  EXPECT_EQ(wire::get(r, "epoch"), "2") << "re-lease bumps the epoch";
+  ASSERT_EQ(flat_json::get(r, "type"), "lease");
+  EXPECT_EQ(flat_json::get(r, "epoch"), "2") << "re-lease bumps the epoch";
 
   // Stale results for a *settled* item are different: after the retry
   // budget is spent the daemon records a synthetic row, and a late real
-  // result must not create a second line for the key.
-  r = ask(&farm, &peer, {{"type", "fail"}, {"key", key}, {"epoch", "2"}});
-  EXPECT_EQ(wire::get(r, "type"), "ok");
+  // result must not create a second line for the key. This failure is a
+  // watchdog kill, which the daemon counts apart from crashes.
+  r = ask(&farm, &peer,
+          {{"type", "fail"}, {"key", key}, {"epoch", "2"},
+           {"reason", "watchdog"}});
+  EXPECT_EQ(flat_json::get(r, "type"), "ok");
+  EXPECT_NE(farm.status_json().find("\"crashed_workers\":1,"),
+            std::string::npos);
+  EXPECT_NE(farm.status_json().find("\"watchdog_kills\":1,"),
+            std::string::npos);
   ::usleep(5 * 1000);  // past the doubled backoff
   r = ask(&farm, &peer, {{"type", "next"}});
-  ASSERT_EQ(wire::get(r, "type"), "lease");
+  ASSERT_EQ(flat_json::get(r, "type"), "lease");
   r = ask(&farm, &peer, {{"type", "fail"}, {"key", key}, {"epoch", "3"}});
-  EXPECT_EQ(wire::get(r, "type"), "ok");  // budget (3) now exhausted
+  EXPECT_EQ(flat_json::get(r, "type"), "ok");  // budget (3) now exhausted
   r = ask(&farm, &peer,
           {{"type", "result"}, {"key", key}, {"epoch", "3"},
            {"line", line_for(key)}});
-  EXPECT_EQ(wire::get(r, "type"), "ok");  // acked (clears the spool)...
-  EXPECT_EQ(farm.status_json().find("\"remote_results\":1"),
-            std::string::npos)
+  EXPECT_EQ(flat_json::get(r, "type"), "ok");  // acked (clears the spool)...
+  EXPECT_NE(farm.status_json().find("\"done\":0,"), std::string::npos)
       << "...but dropped: the synthetic row already settled this key";
 }
 
@@ -211,7 +218,7 @@ TEST(RemoteProtocol, BadResultLinesAreRejectedUnknownKeysAcked) {
   ASSERT_TRUE(farm.add(tiny(1)));
   Farm::RemotePeer peer;
   auto r = ask(&farm, &peer, {{"type", "next"}});
-  ASSERT_EQ(wire::get(r, "type"), "lease");
+  ASSERT_EQ(flat_json::get(r, "type"), "lease");
 
   // The frame checksum passed, so these bytes arrived intact — a line that
   // does not parse or names another key is the worker's bug, and "retry"
@@ -219,26 +226,26 @@ TEST(RemoteProtocol, BadResultLinesAreRejectedUnknownKeysAcked) {
   r = ask(&farm, &peer,
           {{"type", "result"}, {"key", key}, {"epoch", "1"},
            {"line", "not a checkpoint line"}});
-  EXPECT_EQ(wire::get(r, "type"), "reject");
+  EXPECT_EQ(flat_json::get(r, "type"), "reject");
   r = ask(&farm, &peer,
           {{"type", "result"}, {"key", key}, {"epoch", "1"},
            {"line", line_for("0123456789abcdef")}});
-  EXPECT_EQ(wire::get(r, "type"), "reject");
+  EXPECT_EQ(flat_json::get(r, "type"), "reject");
 
   // A key outside this grid (worker outliving a daemon restart with a
   // narrower grid): ack so the worker clears its spool, record nothing.
   r = ask(&farm, &peer,
           {{"type", "result"}, {"key", "feedfeedfeedfeed"}, {"epoch", "0"},
            {"line", line_for("feedfeedfeedfeed")}});
-  EXPECT_EQ(wire::get(r, "type"), "ok");
-  EXPECT_FALSE(fs::exists(dir / "shards" / "remote.jsonl"))
+  EXPECT_EQ(flat_json::get(r, "type"), "ok");
+  EXPECT_FALSE(fs::exists(dir / "shards" / "results.jsonl"))
       << "an unknown key must never grow the merge";
 
   // The real item is still leasable and unharmed.
   r = ask(&farm, &peer,
           {{"type", "result"}, {"key", key}, {"epoch", "1"},
            {"line", line_for(key)}});
-  EXPECT_EQ(wire::get(r, "type"), "ok");
+  EXPECT_EQ(flat_json::get(r, "type"), "ok");
 }
 
 TEST(RemoteProtocol, ResultMessagesCarryArtifactPointers) {
@@ -251,7 +258,7 @@ TEST(RemoteProtocol, ResultMessagesCarryArtifactPointers) {
   ASSERT_TRUE(farm.add(tiny(1)));
   Farm::RemotePeer peer;
   auto r = ask(&farm, &peer, {{"type", "next"}});
-  ASSERT_EQ(wire::get(r, "type"), "lease");
+  ASSERT_EQ(flat_json::get(r, "type"), "lease");
 
   r = ask(&farm, &peer,
           {{"type", "result"}, {"key", key}, {"epoch", "1"},
@@ -259,10 +266,10 @@ TEST(RemoteProtocol, ResultMessagesCarryArtifactPointers) {
            {"repro", "/w0/repro/" + key + ".repro"},
            {"trace", "/w0/repro/" + key + ".trace"},
            {"worker", "w0"}});
-  ASSERT_EQ(wire::get(r, "type"), "ok");
+  ASSERT_EQ(flat_json::get(r, "type"), "ok");
 
   r = ask(&farm, &peer, {{"type", "artifacts"}});
-  const std::string json = wire::get(r, "json");
+  const std::string json = flat_json::get(r, "json");
   EXPECT_NE(json.find("\"" + key + "\""), std::string::npos) << json;
   EXPECT_NE(json.find("/w0/repro/" + key + ".repro"), std::string::npos);
   EXPECT_NE(json.find("\"worker\":\"w0\""), std::string::npos);
@@ -278,19 +285,19 @@ TEST(RemoteProtocol, StatusResultsFollowAndUnknownVerbs) {
   Farm::RemotePeer peer;
 
   auto r = ask(&farm, &peer, {{"type", "status"}});
-  EXPECT_NE(wire::get(r, "json").find("\"items\":1"), std::string::npos);
+  EXPECT_NE(flat_json::get(r, "json").find("\"items\":1"), std::string::npos);
 
   r = ask(&farm, &peer, {{"type", "results"}});
-  EXPECT_EQ(wire::get(r, "lines"), "");  // nothing durable yet
+  EXPECT_EQ(flat_json::get(r, "lines"), "");  // nothing durable yet
 
   EXPECT_FALSE(peer.follow);
   r = ask(&farm, &peer, {{"type", "follow"}});
-  EXPECT_EQ(wire::get(r, "type"), "ok");
+  EXPECT_EQ(flat_json::get(r, "type"), "ok");
   EXPECT_TRUE(peer.follow);
 
   r = ask(&farm, &peer, {{"type", "frobnicate"}});
-  EXPECT_EQ(wire::get(r, "type"), "error");
-  EXPECT_NE(wire::get(r, "detail").find("unknown"), std::string::npos);
+  EXPECT_EQ(flat_json::get(r, "type"), "error");
+  EXPECT_NE(flat_json::get(r, "detail").find("unknown"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,8 +366,7 @@ TEST(RemoteFarm, TcpWorkersMatchSingleProcessSweep) {
   EXPECT_EQ(wait_exit(w1), 0);
   EXPECT_EQ(report.done, 6u);
   EXPECT_EQ(report.failed, 0u);
-  EXPECT_EQ(report.remote_results, 6u);  // workers=0: all crossed the wire
-  EXPECT_GE(report.remote_workers_seen, 2u);
+  EXPECT_GE(report.workers_seen, 2u);
   EXPECT_EQ(report.corrupt_frames, 0u);
   EXPECT_EQ(sorted_lines(report.merged_path), sorted_lines(dir / "ref.jsonl"));
 }
@@ -378,8 +384,84 @@ TEST(RemoteFarm, UnixEndpointRunsTheSameProtocol) {
   const FarmReport report = farm.run();
 
   EXPECT_EQ(wait_exit(w0), 0);
-  EXPECT_EQ(report.remote_results, 3u);
+  EXPECT_EQ(report.done, 3u);
   EXPECT_EQ(sorted_lines(report.merged_path), sorted_lines(dir / "ref.jsonl"));
+}
+
+/// waitpid with a wall-clock bound: false (child still running) once
+/// `limit_ms` has passed.
+bool wait_exit_within(pid_t pid, std::uint64_t limit_ms, int* code) {
+  for (std::uint64_t waited = 0; waited < limit_ms; waited += 10) {
+    int status = 0;
+    if (::waitpid(pid, &status, WNOHANG) == pid) {
+      *code = WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
+      return true;
+    }
+    ::usleep(10 * 1000);
+  }
+  return false;
+}
+
+TEST(RemoteFarm, HungTrialIsKilledByTheWorkerWatchdog) {
+  // A dialed worker heartbeats while its trial hangs, so the lease never
+  // expires on the daemon's side: only the worker's own trial watchdog can
+  // reclaim it. The daemon runs in a child so a farm that never settles
+  // fails this test at the wall-clock bound instead of hanging it.
+  const fs::path dir = scratch("hang");
+  const std::string hang_key = harness::config_key(tiny(2));
+  FarmOptions opts = remote_only_opts(dir / "farm");
+  opts.listen = "unix:" + (dir / "workers.sock").string();
+  opts.watchdog_ms = 1500;
+  opts.max_attempts = 2;
+  const fs::path report_path = dir / "report.txt";
+
+  const pid_t daemon = ::fork();
+  ASSERT_GE(daemon, 0);
+  if (daemon == 0) {
+    Farm farm(opts);
+    for (std::uint64_t s = 1; s <= 2; ++s) farm.add(tiny(s));
+    const FarmReport report = farm.run();
+    std::ofstream(report_path) << report.watchdog_kills << " "
+                               << report.crashed_workers << " "
+                               << report.failed << " " << report.done << "\n";
+    ::_exit(0);
+  }
+  ::setenv("OMX_FARM_TEST_HANG_KEY", hang_key.c_str(), 1);
+  const pid_t worker = spawn_worker(opts.dir, dir / "w0", "w0");
+  ::unsetenv("OMX_FARM_TEST_HANG_KEY");
+
+  int daemon_code = -1;
+  const bool settled = wait_exit_within(daemon, 20000, &daemon_code);
+  if (!settled) {
+    ::kill(daemon, SIGKILL);
+    ::kill(worker, SIGKILL);
+    wait_exit(daemon);
+  }
+  wait_exit(worker);
+  ASSERT_TRUE(settled) << "the hung trial's lease was never reclaimed";
+  EXPECT_EQ(daemon_code, 0);
+
+  // Two leases, two watchdog kills, then the synthetic timeout row.
+  std::size_t watchdog_kills = 0, crashed = 0, failed = 0, done = 0;
+  std::ifstream(report_path) >> watchdog_kills >> crashed >> failed >> done;
+  EXPECT_EQ(watchdog_kills, 2u);
+  EXPECT_EQ(crashed, 0u);
+  EXPECT_EQ(failed, 1u);
+  EXPECT_EQ(done, 1u);
+  const auto lines = sorted_lines(dir / "farm" / "merged.jsonl");
+  ASSERT_EQ(lines.size(), 2u);
+  std::size_t hung_seen = 0;
+  for (const auto& line : lines) {
+    std::string key;
+    harness::TrialOutcome out;
+    ASSERT_TRUE(harness::parse_checkpoint_line(line, &key, &out)) << line;
+    if (key != hang_key) continue;
+    ++hung_seen;
+    EXPECT_EQ(out.verdict, harness::Verdict::Timeout);
+    EXPECT_EQ(out.attempts, 2u);
+    EXPECT_NE(out.error.find("watchdog"), std::string::npos) << out.error;
+  }
+  EXPECT_EQ(hung_seen, 1u);
 }
 
 TEST(RemoteFarm, CrashAfterSpoolWriteResubmitsWithoutADuplicateRow) {

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <vector>
 
 #include "support/bits.h"
 #include "support/check.h"
+#include "support/durable.h"
+#include "support/flat_json.h"
 #include "support/prng.h"
 #include "support/stats.h"
 
@@ -144,6 +149,52 @@ TEST(Stats, Quantiles) {
   EXPECT_DOUBLE_EQ(quantile_of(v, 0.25), 2.0);
   EXPECT_THROW(quantile_of({}, 0.5), PreconditionError);
   EXPECT_THROW(quantile_of({1.0}, 1.5), PreconditionError);
+}
+
+TEST(FlatJson, ParsesStringsNumbersAndBooleans) {
+  flat_json::Object obj;
+  ASSERT_TRUE(flat_json::parse(
+      "{ \"s\" : \"a\\u0041\\/b\" , \"n\":42,\"b\":true }", &obj));
+  EXPECT_EQ(flat_json::get(obj, "s"), "aA/b");
+  EXPECT_EQ(flat_json::get(obj, "n"), "42");
+  EXPECT_EQ(flat_json::get(obj, "b"), "true");
+  EXPECT_FALSE(flat_json::parse("{\"n\":}", &obj));   // empty literal
+  EXPECT_FALSE(flat_json::parse("{\"s\":\"\\q\"}", &obj));  // unknown escape
+  EXPECT_FALSE(flat_json::parse("{\"s\":\"\\u00e9\"}", &obj));  // not ASCII
+}
+
+TEST(FlatJson, EscapeIsTheCheckpointEscaper) {
+  EXPECT_EQ(flat_json::escape("q\"b\\n\nr\rt\t\x01\x1f~"),
+            "q\\\"b\\\\n\\nr\\rt\\t\\u0001\\u001f~");
+  EXPECT_EQ(flat_json::encode({{"k", "v"}, {"x", ""}}),
+            "{\"k\":\"v\",\"x\":\"\"}");
+}
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(Durable, AppendAndPublish) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "omx_durable";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path log = dir / "log.jsonl";
+  ASSERT_TRUE(append_line_durably(log.string(), "one"));
+  ASSERT_TRUE(append_line_durably(log.string(), "two"));
+  EXPECT_EQ(slurp(log), "one\ntwo\n");
+
+  const fs::path file = dir / "published";
+  ASSERT_TRUE(publish_atomic(file.string(), "first"));
+  ASSERT_TRUE(publish_atomic(file.string(), "second"));
+  EXPECT_EQ(slurp(file), "second");
+  // No temp file is left behind: the directory holds exactly the two files.
+  EXPECT_EQ(
+      std::distance(fs::directory_iterator(dir), fs::directory_iterator{}), 2);
+  EXPECT_FALSE(publish_atomic((dir / "missing" / "x").string(), "y"));
 }
 
 }  // namespace

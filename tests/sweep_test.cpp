@@ -382,6 +382,27 @@ TEST(SweepCheckpoint, CheckpointLineRoundTripsAndRejectsTornPrefixes) {
   }
 }
 
+TEST(SweepCheckpoint, UnicodeEscapesNeedFourHexDigits) {
+  // Control bytes in an error message are written as \u00XX and read back
+  // exactly; a \u escape whose digits are not hex is a corrupt line, never
+  // a silent NUL byte.
+  TrialOutcome outcome;
+  outcome.error = "bell\x07here";
+  const std::string line = checkpoint_line("0123456789abcdef", outcome);
+  ASSERT_NE(line.find("\\u0007"), std::string::npos) << line;
+  std::string key;
+  TrialOutcome back;
+  ASSERT_TRUE(parse_checkpoint_line(line, &key, &back));
+  EXPECT_EQ(back.error, outcome.error);
+  EXPECT_EQ(checkpoint_line(key, back), line);
+
+  for (const char* bad : {"\\uZZZZ", "\\u00g7", "\\u007", "\\ud800"}) {
+    std::string corrupt = line;
+    corrupt.replace(corrupt.find("\\u0007"), 6, bad);
+    EXPECT_FALSE(parse_checkpoint_line(corrupt, &key, &back)) << corrupt;
+  }
+}
+
 TEST(SweepCheckpoint, TornLineWarningNamesTheFinalLine) {
   // A checkpoint whose *final* line is torn is the expected kill -9
   // artifact; the loader must drop exactly that line, say so, and re-run

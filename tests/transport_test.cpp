@@ -12,6 +12,7 @@
 #include <string>
 
 #include "farm/transport.h"
+#include "support/flat_json.h"
 #include "support/check.h"
 
 namespace omx::farm {
@@ -212,26 +213,35 @@ TEST(Framing, SendRefusesOversizePayloads) {
 // Wire codec.
 
 TEST(WireCodec, RoundTripsFieldsWithEscapes) {
-  const std::string payload = wire::encode(
+  const std::string payload = flat_json::encode(
       {{"type", "result"},
        {"line", "{\"key\":\"ab\",\"error\":\"tab\there\nnewline\"}"},
-       {"path", "C:\\odd\\path"}});
-  std::map<std::string, std::string> decoded;
-  ASSERT_TRUE(wire::decode(payload, &decoded));
-  EXPECT_EQ(wire::get(decoded, "type"), "result");
-  EXPECT_EQ(wire::get(decoded, "line"),
+       {"path", "C:\\odd\\path"},
+       {"ctl", std::string("bell\x07nul\0end", 12)}});
+  // Every control byte is escaped: a payload is one line of text.
+  for (const char c : payload) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << payload;
+  }
+  flat_json::Object decoded;
+  ASSERT_TRUE(flat_json::parse(payload, &decoded));
+  EXPECT_EQ(flat_json::get(decoded, "type"), "result");
+  EXPECT_EQ(flat_json::get(decoded, "line"),
             "{\"key\":\"ab\",\"error\":\"tab\there\nnewline\"}");
-  EXPECT_EQ(wire::get(decoded, "path"), "C:\\odd\\path");
-  EXPECT_EQ(wire::get(decoded, "absent"), "");
+  EXPECT_EQ(flat_json::get(decoded, "path"), "C:\\odd\\path");
+  EXPECT_EQ(flat_json::get(decoded, "ctl"),
+            std::string("bell\x07nul\0end", 12));
+  EXPECT_EQ(flat_json::get(decoded, "absent"), "");
 }
 
 TEST(WireCodec, DecodeRejectsMalformedPayloads) {
-  std::map<std::string, std::string> out;
-  EXPECT_FALSE(wire::decode("", &out));
-  EXPECT_FALSE(wire::decode("not json", &out));
-  EXPECT_FALSE(wire::decode("{\"unterminated\":\"", &out));
-  EXPECT_FALSE(wire::decode("{\"a\":\"b\"", &out));  // missing brace
-  EXPECT_TRUE(wire::decode("{}", &out));
+  flat_json::Object out;
+  EXPECT_FALSE(flat_json::parse("", &out));
+  EXPECT_FALSE(flat_json::parse("not json", &out));
+  EXPECT_FALSE(flat_json::parse("{\"unterminated\":\"", &out));
+  EXPECT_FALSE(flat_json::parse("{\"a\":\"b\"", &out));  // missing brace
+  EXPECT_FALSE(flat_json::parse("{\"a\":\"b\"} trailing", &out));
+  EXPECT_FALSE(flat_json::parse("{\"a\":{\"nested\":\"x\"}}", &out));
+  EXPECT_TRUE(flat_json::parse("{}", &out));
   EXPECT_TRUE(out.empty());
 }
 

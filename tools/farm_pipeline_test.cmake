@@ -7,6 +7,10 @@
 #   4. warm cache, fresh farm dir   -> identical lines again
 #   5. corrupt a cache entry        -> detected as a miss, rebuilt,
 #                                      identical lines again
+#   6. status after the daemon exit -> no published endpoint: exit 2
+#   7. precondition grid            -> `run` and `serve` + `work` both
+#                                      exit 1 (the verdicts of the lines
+#                                      accepted in the run decide)
 # (Worker/daemon SIGKILL chaos needs process control and lives in
 # tests/farm_test.cpp and the CI farm-chaos job.)
 # Invoked as: cmake -DOMXSIM=... -DOMXFARM=... -DWORK_DIR=... -P this_file
@@ -85,5 +89,41 @@ run_or_die(${CMAKE_COMMAND} -E env
            ${OMXFARM} run --dir "${WORK_DIR}/farm3" --workers 3 ${grid})
 expect_same_lines("${WORK_DIR}/ref.jsonl" "${WORK_DIR}/farm3/merged.jsonl"
                   "corrupt cache entries")
+
+# 6. A finished daemon withdraws its endpoint: status has nobody to ask.
+execute_process(COMMAND ${OMXFARM} status --dir "${WORK_DIR}/farm"
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "status without a daemon: want exit 2, got ${rc}")
+endif()
+
+# 7. A grid whose only trial records a precondition verdict exits 1 under
+#    local workers and under a dialed worker alike. The two COMMANDs run
+#    concurrently (as a pipeline whose stdin the worker ignores).
+set(pre_grid --algo param --n 8 --x 16 --seeds 1)
+execute_process(COMMAND ${OMXFARM} run --dir "${WORK_DIR}/pre-run"
+                        --workers 1 ${pre_grid}
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "precondition grid under run: want exit 1, got ${rc}")
+endif()
+set(pre_endpoint "unix:${WORK_DIR}/pre-serve.sock")
+execute_process(COMMAND ${OMXFARM} serve --dir "${WORK_DIR}/pre-serve"
+                        --listen "${pre_endpoint}" --linger-ms 1000
+                        ${pre_grid}
+                COMMAND ${OMXFARM} work --connect "${pre_endpoint}"
+                        --dir "${WORK_DIR}/pre-worker" --backoff-ms 20
+                        --reconnect-ms 20000
+                RESULTS_VARIABLE rcs OUTPUT_QUIET ERROR_QUIET)
+if(NOT rcs STREQUAL "1;0")
+  message(FATAL_ERROR "precondition grid under serve + work: want exits "
+                      "1;0 (daemon;worker), got ${rcs}")
+endif()
+foreach(dir pre-run pre-serve)
+  file(READ "${WORK_DIR}/${dir}/merged.jsonl" merged)
+  if(NOT merged MATCHES "\"verdict\":\"precondition\"")
+    message(FATAL_ERROR "${dir}/merged.jsonl lacks the precondition row")
+  endif()
+endforeach()
 
 message(STATUS "farm pipeline OK")

@@ -3,47 +3,42 @@
 //   omxfarm run    --dir farm --algo optimal --attack chaos \
 //                  --n 64,128,256 --seeds 25 --workers 4 --watchdog-ms 60000
 //   omxfarm serve  --dir farm --listen tcp:0.0.0.0:7717 [grid flags]
-//                                       # daemon leasing to remote workers
-//   omxfarm work   --connect host:7717 --dir w1   # remote worker process
-//   omxfarm status  --dir farm          # query a running daemon's socket
-//   omxfarm results --dir farm          # live merged view over the socket
+//                                       # daemon leasing to dialed workers
+//   omxfarm work   --connect host:7717 --dir w1   # dialed worker process
+//   omxfarm status  --dir farm          # query a running daemon
+//   omxfarm results --dir farm          # live merged view
 //   omxfarm results --dir farm --follow # stream lines as they merge
 //   omxfarm results --dir farm --artifacts  # repro/trace paths per key
 //   omxfarm merge   --dir farm          # offline shard merge (no daemon)
 //   omxfarm warm    --dir farm --n 64,128,256   # pre-build cached artifacts
 //
 // `serve` is `run` with remote-first defaults: no local workers unless
-// asked, a listen endpoint for `omxfarm work --connect` processes (the
-// resolved address — port 0 is allowed — is published to <dir>/endpoint),
-// and a lease watchdog on by default because remote workers fail silently.
-// `status`/`results` also accept --connect to query a daemon over its
-// worker endpoint instead of the local Unix socket.
+// asked, a TCP listen endpoint for `omxfarm work --connect` processes, and
+// a watchdog on by default because dialed workers fail silently. Every
+// daemon publishes its resolved endpoint (port 0 is allowed; `run`'s
+// default is unix:<dir>/farm.sock) to <dir>/endpoint, which
+// `status`/`results` dial; --connect names an endpoint directly.
 //
 // `run` expands the sweep grid (each --n × each seed) into config-hash-keyed
-// work items and drives them through farm::Farm: every item runs in a
-// fork(2)'d worker whose exit code carries the PR 4 verdict taxonomy
-// (0 recorded, 2/3/4 recorded model violations, signal = crash → re-lease
-// with backoff). Workers append durable JSONL lines to per-slot shards;
-// `kill -9` of any worker — or of the daemon itself — loses nothing but the
-// in-flight trials, and a re-run `omxfarm run` with the same flags resumes
-// from the shards and converges to a merged.jsonl byte-identical (after the
-// canonical key sort) to an uninterrupted run's, and to a single-process
-// `omxsim --checkpoint` sweep of the same grid.
+// work items and drives them through farm::Farm: --workers N forked worker
+// processes lease items over socketpairs and run each trial in a fork of
+// their own. The daemon appends every accepted result line durably to its
+// shard; `kill -9` of any trial, worker — or of the daemon itself — loses
+// nothing but the in-flight trials, and a re-run `omxfarm run` with the
+// same flags resumes from the shards and converges to a merged.jsonl
+// byte-identical (after the canonical key sort) to an uninterrupted run's,
+// and to a single-process `omxsim --checkpoint` sweep of the same grid.
 //
-// Exit codes: 0 = every item recorded with verdict ok; 1 = some recorded
-// trial failed its verdict or spec (for `work`: the daemon became
-// unreachable before saying "done"); 2 = bad usage / precondition;
+// Exit codes: 0 = every item recorded with verdict ok; 1 = some trial
+// recorded in this run failed its verdict or spec (for `work`: the daemon
+// became unreachable before saying "done"); 2 = bad usage / precondition;
 // 5 = corrupt transport frame (checksum failure, reported with its byte
 // offset) — bad bytes are refused, never acted on; 7 = retry budget
 // exhausted for at least one item (synthetic outcome recorded so
 // merged.jsonl still covers the full grid).
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,6 +55,7 @@
 #include "harness/sweep.h"
 #include "support/check.h"
 #include "support/cli.h"
+#include "support/flat_json.h"
 
 using namespace omx;
 
@@ -140,22 +136,23 @@ std::vector<harness::ExperimentConfig> expand_grid(const ArgParser& args) {
 }
 
 /// `run` and `serve` share everything but their defaults: serve assumes the
-/// work arrives over the wire (no local forks unless asked) and remote
-/// workers fail silently, so the lease watchdog defaults on.
+/// work arrives over the wire (no local workers unless asked) and dialed
+/// workers fail silently, so the watchdog defaults on.
 int cmd_run(int argc, char** argv, bool serve) {
   ArgParser args(serve ? "omxfarm serve" : "omxfarm run",
                  serve ? "serve a sweep grid to remote workers"
                        : "run a sweep grid under the farm daemon");
   args.add_option("dir", "farm", "farm state directory");
   args.add_option("workers", serve ? "0" : "4",
-                  "concurrent fork-isolated local workers");
+                  "concurrent local worker processes");
   args.add_option("listen", serve ? "tcp:127.0.0.1:0" : "",
-                  "worker/streaming endpoint (unix:<path> | "
-                  "tcp:<host>:<port>, port 0 = kernel-assigned; resolved "
+                  "endpoint for dialed workers and status clients "
+                  "(unix:<path> | tcp:<host>:<port>, port 0 = "
+                  "kernel-assigned; default unix:<dir>/farm.sock; resolved "
                   "address published to <dir>/endpoint)");
   args.add_option("watchdog-ms", serve ? "15000" : "0",
-                  "lease watchdog: SIGKILL a worker past this deadline "
-                  "(0 = none)");
+                  "trial watchdog: kill a trial running past this, and burn "
+                  "the lease of a worker silent this long (0 = none)");
   // Long enough to cover several worker response-resend windows (750 ms
   // each): a lossy link can drop the "done" answer repeatedly, and a worker
   // that never hears it burns its whole reconnect deadline on a dead
@@ -173,7 +170,6 @@ int cmd_run(int argc, char** argv, bool serve) {
                   "trials — same semantics as omxsim --retries");
   args.add_option("repro-dir", "", "directory for crash-repro captures "
                   "(default <dir>/repro)");
-  args.add_flag("no-socket", "do not serve <dir>/farm.sock");
   args.add_flag("no-cache", "do not point OMX_ARTIFACT_CACHE at <dir>/cache");
   add_grid_flags(&args);
   if (!args.parse(argc, argv)) {
@@ -197,7 +193,6 @@ int cmd_run(int argc, char** argv, bool serve) {
       1 + static_cast<std::uint32_t>(args.get_int("farm-retries"));
   opts.backoff_base_ms =
       static_cast<std::uint64_t>(args.get_int("backoff-ms"));
-  opts.serve_socket = !args.flag("no-socket");
   opts.use_artifact_cache = !args.flag("no-cache");
   opts.sweep.repro_dir = args.get("repro-dir").empty()
                              ? opts.dir + "/repro"
@@ -223,111 +218,62 @@ int cmd_run(int argc, char** argv, bool serve) {
                static_cast<unsigned long long>(report.releases),
                report.crashed_workers, report.watchdog_kills,
                report.torn_shard_lines);
-  if (report.remote_workers_seen > 0 || report.corrupt_frames > 0) {
-    std::fprintf(stderr,
-                 "farm: %zu remote hello(s): %zu results over the wire "
-                 "(%zu duplicate, %zu late, %zu rejected), %zu reported "
-                 "crashes, %zu corrupt frame(s)\n",
-                 report.remote_workers_seen, report.remote_results,
-                 report.duplicate_results, report.late_results,
-                 report.rejected_results, report.remote_failures,
-                 report.corrupt_frames);
-  }
+  std::fprintf(stderr,
+               "farm: %zu worker hello(s); %zu duplicate, %zu late, %zu "
+               "rejected result(s); %zu corrupt frame(s)\n",
+               report.workers_seen, report.duplicate_results,
+               report.late_results, report.rejected_results,
+               report.corrupt_frames);
   std::printf("%s\n", report.merged_path.c_str());
   if (!report.all_ok()) return 7;
-  // Recorded-but-failed trials (verdict != ok, or spec NO) exit 1, like a
-  // failed omxsim sweep; the histogram tells the classes apart.
+  // Trials recorded in this run with a failed verdict exit 1, like a failed
+  // omxsim sweep; the histogram tells the classes apart.
   for (const auto& [code, count] : report.exit_codes) {
     if (code != 0 && count > 0) return 1;
   }
   return 0;
 }
 
-/// Stream "follow" over the raw Unix status socket: print every merged
-/// line as the daemon pushes it, until the terminal "end". Exit 1 when the
-/// daemon vanishes mid-stream (EOF without "end").
-int raw_follow(const std::string& dir) {
-  const std::string path = farm::Farm::socket_path_for(dir);
-  sockaddr_un addr{};
-  OMX_REQUIRE(path.size() < sizeof(addr.sun_path),
-              "farm: socket path too long: " + path);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  OMX_REQUIRE(fd >= 0, "farm: cannot create socket");
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ::close(fd);
-    throw PreconditionError("farm: no daemon listening at " + path + ": " +
-                            std::strerror(errno));
-  }
-  const char request[] = "follow\n";
-  (void)::send(fd, request, sizeof request - 1, 0);
-  std::string buffer;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-    if (got <= 0) break;  // EOF without "end": the daemon died
-    buffer.append(chunk, static_cast<std::size_t>(got));
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (line == "end") {
-        ::close(fd);
-        return 0;
-      }
-      std::printf("%s\n", line.c_str());
-      std::fflush(stdout);
-    }
-  }
-  ::close(fd);
-  return 1;
-}
-
-/// Query a daemon over its framed worker endpoint (--connect). A corrupt
-/// frame throws CorruptInputError → exit 5 with the byte offset, same as a
-/// corrupt checkpoint file.
+/// Query a daemon over its framed endpoint. A corrupt frame throws
+/// CorruptInputError → exit 5 with the byte offset, same as a corrupt
+/// checkpoint file.
 int framed_query(const std::string& connect, const std::string& verb,
                  bool follow) {
   auto conn = farm::dial(farm::Endpoint::parse(connect));
   OMX_REQUIRE(conn != nullptr, "cannot connect to " + connect);
-  const auto check_corrupt = [&](farm::RecvStatus st) {
-    if (st == farm::RecvStatus::Corrupt) {
-      throw CorruptInputError(connect, conn->corrupt_offset(),
-                              "transport frame: " + conn->corrupt_detail());
-    }
-  };
-  OMX_REQUIRE(conn->send(farm::wire::encode(
+  OMX_REQUIRE(conn->send(flat_json::encode(
                   {{"type", follow ? "follow" : verb}, {"rid", "1"}})),
               "cannot send request to " + connect);
   for (;;) {
     std::string payload;
     const farm::RecvStatus st = conn->recv(&payload, follow ? 1000 : 5000);
-    check_corrupt(st);
+    if (st == farm::RecvStatus::Corrupt) {
+      throw CorruptInputError(connect, conn->corrupt_offset(),
+                              "transport frame: " + conn->corrupt_detail());
+    }
     if (st == farm::RecvStatus::Timeout) {
       if (follow) continue;  // a quiet farm is still a live farm
       std::fprintf(stderr, "farm: no response from %s\n", connect.c_str());
       return 1;
     }
     if (st == farm::RecvStatus::Closed) return follow ? 1 : 2;
-    std::map<std::string, std::string> msg;
-    if (!farm::wire::decode(payload, &msg)) continue;
-    const std::string type = farm::wire::get(msg, "type");
+    flat_json::Object msg;
+    if (!flat_json::parse(payload, &msg)) continue;
+    const std::string type = flat_json::get(msg, "type");
     if (follow) {
       if (type == "line") {
-        std::printf("%s\n", farm::wire::get(msg, "line").c_str());
+        std::printf("%s\n", flat_json::get(msg, "line").c_str());
         std::fflush(stdout);
       } else if (type == "end") {
         return 0;
       }
       continue;  // the "ok" subscription ack, or stray frames
     }
-    if (farm::wire::get(msg, "rid") != "1") continue;
+    if (flat_json::get(msg, "rid") != "1") continue;
     if (verb == "results") {
-      std::fputs(farm::wire::get(msg, "lines").c_str(), stdout);
+      std::fputs(flat_json::get(msg, "lines").c_str(), stdout);
     } else {
-      std::printf("%s\n", farm::wire::get(msg, "json").c_str());
+      std::printf("%s\n", flat_json::get(msg, "json").c_str());
     }
     return 0;
   }
@@ -337,8 +283,8 @@ int cmd_query(int argc, char** argv, const std::string& request) {
   ArgParser args("omxfarm " + request, "query a running farm daemon");
   args.add_option("dir", "farm", "farm state directory");
   args.add_option("connect", "",
-                  "query over the daemon's worker endpoint instead of "
-                  "<dir>/farm.sock");
+                  "endpoint to query (default: the one the daemon "
+                  "published to <dir>/endpoint)");
   if (request == "results") {
     args.add_flag("follow", "stream merged lines until the farm finishes");
     args.add_flag("artifacts",
@@ -362,13 +308,17 @@ int cmd_query(int argc, char** argv, const std::string& request) {
       verb = "artifacts";
     }
   }
-  if (!args.get("connect").empty()) {
-    return framed_query(args.get("connect"), verb, follow);
+  std::string connect = args.get("connect");
+  if (connect.empty()) {
+    const std::string published =
+        farm::Farm::endpoint_path_for(args.get("dir"));
+    std::ifstream in(published);
+    if (!std::getline(in, connect) || connect.empty()) {
+      throw PreconditionError("farm: no daemon endpoint published at " +
+                              published);
+    }
   }
-  if (follow) return raw_follow(args.get("dir"));
-  const std::string response = farm::Farm::query(args.get("dir"), verb);
-  std::fputs(response.c_str(), stdout);
-  return 0;
+  return framed_query(connect, verb, follow);
 }
 
 int cmd_work(int argc, char** argv) {
@@ -378,8 +328,7 @@ int cmd_work(int argc, char** argv) {
                   "daemon worker endpoint (unix:<path> | tcp:<host>:<port> "
                   "| host:port)");
   args.add_option("dir", "farmworker",
-                  "worker state directory (result spool, trial outbox, "
-                  "repro captures)");
+                  "worker state directory (result spool, repro captures)");
   args.add_option("name", "", "worker name (default worker-<pid>)");
   args.add_option("chaos", "",
                   "deterministic fault-injection spec for this link, e.g. "
