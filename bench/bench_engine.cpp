@@ -11,8 +11,10 @@
 // The thread sweep defaults to {1,2,4,8} filtered to the lanes this host
 // actually has; an explicit --threads list that exceeds
 // ThreadPool::hardware_threads() is an error (exit 1), not a silently
-// oversubscribed measurement. The resolved hardware_threads value is
-// stamped into the JSON so recorded numbers carry their provenance.
+// oversubscribed measurement. The resolved hardware_threads value, the CPU
+// model, the compiler, the build type and the source revision (git
+// describe at configure time) are stamped into the JSON so recorded
+// numbers carry their provenance.
 //
 // The workloads are chosen to stress the delivery substrate, not the
 // protocols: FloodSet is all-to-all with Θ(n)-sized payloads (the
@@ -22,6 +24,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -33,6 +36,18 @@
 #include "support/thread_pool.h"
 
 namespace {
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
 
 struct Workload {
   const char* name;
@@ -227,7 +242,10 @@ int run_bench(int argc, char** argv) {
       "{\n  \"seed_engine_reference_ms\": {\"floodset/none/1024\": 5337.7, "
       "\"floodset/rand-omit/1024\": 5593.0, \"optimal/none/1024\": 3359.2},\n"
       "  \"hardware_threads\": " +
-      std::to_string(hw) + ",\n  \"workloads\": [\n";
+      std::to_string(hw) + ",\n  \"host\": {\"cpu\": \"" + cpu_model() +
+      "\", \"compiler\": \"" BENCH_COMPILER "\", \"build_type\": \""
+      BENCH_BUILD_TYPE "\", \"source\": \"" BENCH_SOURCE "\"},\n"
+      "  \"workloads\": [\n";
   bool first = true;
   for (const auto& w : workloads) {
     const Sample s = run_workload(trials, w, /*threads=*/1);
@@ -264,6 +282,8 @@ int run_bench(int argc, char** argv) {
        omx::harness::Attack::None, 256, 3},
       {"optimal/none/1024", omx::harness::Algo::Optimal,
        omx::harness::Attack::None, 1024, 2},
+      {"optimal/none/4096", omx::harness::Algo::Optimal,
+       omx::harness::Attack::None, 4096, 1},
   };
   first = true;
   for (const auto& w : sweep) {

@@ -62,8 +62,9 @@ struct SpreadEntry {
   std::uint32_t zeros;
 };
 
-/// GroupBitsSpreading gossip message: BitPacks entries not yet sent on this
-/// link. An empty message is a heartbeat (keeps the link alive).
+/// GroupBitsSpreading gossip message: BitPacks entries not yet sent on the
+/// sender's live links this epoch (one multicast to all of them). An empty
+/// message is a heartbeat (keeps the link alive).
 struct SpreadMsg {
   std::vector<SpreadEntry> entries;
   std::uint64_t bit_size() const {

@@ -58,7 +58,7 @@ void MultiValueMachine::round(sim::ProcessId p, sim::RoundIo<Msg>& io) {
     auto& scratch = scratch_[io.lane()];
     scratch.clear();
     for (const auto& msg : io.inbox()) {
-      scratch.push_back(In{msg.from, &msg.payload});
+      scratch.push_back(In{msg.from, &msg.payload.get()});
     }
     IoOutbox out(io);
     inner_->step(p, scratch, out, io.rng());
@@ -83,7 +83,7 @@ void MultiValueMachine::round(sim::ProcessId p, sim::RoundIo<Msg>& io) {
   // with the decided prefix; then, after the last phase, decide.
   if (bit_of(s.candidate, phase) != bit_of(s.decided_prefix, phase)) {
     for (const auto& msg : io.inbox()) {
-      const auto* vm = std::get_if<ValueMsg>(&msg.payload);
+      const auto* vm = std::get_if<ValueMsg>(&msg.payload.get());
       if (vm == nullptr) continue;
       if ((vm->value & s.prefix_mask) == (s.decided_prefix & s.prefix_mask)) {
         s.candidate = vm->value;

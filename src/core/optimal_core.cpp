@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/comm_graph.h"
 #include "support/bits.h"
 #include "support/check.h"
 
@@ -70,10 +71,11 @@ OptimalCore::OptimalCore(OptimalConfig config,
     s.pack_valid.assign(num_groups, 0);
     s.pack_ones.assign(num_groups, 0);
     s.pack_zeros.assign(num_groups, 0);
-    const auto deg = graph_->degree(m);
-    s.link_dead.assign(deg, 0);
-    s.sent_mask.assign(static_cast<std::size_t>(deg) * num_groups, 0);
-    s.heard_from.assign(deg, 0);
+    const auto nb = graph_->neighbors(m);
+    s.link_dead.assign(nb.size(), 0);
+    s.live.assign(nb.begin(), nb.end());
+    s.sent.assign(num_groups, 0);
+    s.heard_from.assign(nb.size(), 0);
   }
 }
 
@@ -158,15 +160,6 @@ void OptimalCore::decide(std::uint32_t m, std::uint8_t value) {
   terminated_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::uint32_t OptimalCore::neighbor_slot(std::uint32_t m,
-                                         std::uint32_t from) const {
-  const auto nb = graph_->neighbors(m);
-  const auto it = std::lower_bound(nb.begin(), nb.end(), from);
-  OMX_CHECK(it != nb.end() && *it == from,
-            "spread message from a non-neighbor");
-  return static_cast<std::uint32_t>(it - nb.begin());
-}
-
 void OptimalCore::epoch_reset(MemberState& s, std::uint32_t epoch) {
   if (s.last_reset_epoch == epoch) return;
   s.last_reset_epoch = epoch;
@@ -177,7 +170,7 @@ void OptimalCore::epoch_reset(MemberState& s, std::uint32_t epoch) {
   // estimate_fresh is deliberately NOT cleared: last_estimate() reports the
   // most recent completed epoch's estimate (vote_update overwrites it).
   std::fill(s.pack_valid.begin(), s.pack_valid.end(), 0);
-  std::fill(s.sent_mask.begin(), s.sent_mask.end(), 0);
+  std::fill(s.sent.begin(), s.sent.end(), 0);
 }
 
 void OptimalCore::stage_reset(MemberState& s) {
@@ -277,10 +270,14 @@ void OptimalCore::consume(std::uint32_t m, const Phase& prev,
     case Kind::Spread: {
       if (!s.operative) break;  // idle until the end of the epoch
       std::fill(s.heard_from.begin(), s.heard_from.end(), 0);
+      const auto nb = graph_->neighbors(m);
+      graph::NeighborCursor cursor(nb);
       for (const In& in : inbox) {
         const auto* sm = std::get_if<SpreadMsg>(in.msg);
         if (sm == nullptr) continue;
-        const std::uint32_t slot = neighbor_slot(m, in.from);
+        const std::uint32_t slot = cursor.slot(in.from);
+        OMX_CHECK(slot != graph::NeighborCursor::kAbsent,
+                  "spread message from a non-neighbor");
         if (s.link_dead[slot]) continue;  // disregarded link
         s.heard_from[slot] = 1;
         for (const SpreadEntry& e : sm->entries) {
@@ -292,11 +289,19 @@ void OptimalCore::consume(std::uint32_t m, const Phase& prev,
         }
       }
       std::uint32_t received = 0;
+      bool link_died = false;
       for (std::size_t slot = 0; slot < s.heard_from.size(); ++slot) {
         if (s.heard_from[slot]) {
           ++received;
         } else if (!s.link_dead[slot]) {
           s.link_dead[slot] = 1;  // silent link: never use it again
+          link_died = true;
+        }
+      }
+      if (link_died) {
+        s.live.clear();
+        for (std::size_t slot = 0; slot < nb.size(); ++slot) {
+          if (!s.link_dead[slot]) s.live.push_back(nb[slot]);
         }
       }
       if (received < min_in_links_) {
@@ -392,22 +397,16 @@ void OptimalCore::produce(std::uint32_t m, const Phase& cur, Outbox& send) {
         s.pack_ones[s.group] = s.cur_ones;
         s.pack_zeros[s.group] = s.cur_zeros;
       }
-      const auto nb = graph_->neighbors(m);
+      if (s.live.empty()) break;
       SpreadMsg msg;
-      for (std::uint32_t slot = 0; slot < nb.size(); ++slot) {
-        if (s.link_dead[slot]) continue;
-        msg.entries.clear();
-        std::uint8_t* sent = &s.sent_mask[static_cast<std::size_t>(slot) *
-                                          num_groups];
-        for (std::uint32_t g = 0; g < num_groups; ++g) {
-          if (s.pack_valid[g] && !sent[g]) {
-            sent[g] = 1;
-            msg.entries.push_back(
-                SpreadEntry{g, s.pack_ones[g], s.pack_zeros[g]});
-          }
+      for (std::uint32_t g = 0; g < num_groups; ++g) {
+        if (s.pack_valid[g] && !s.sent[g]) {
+          s.sent[g] = 1;
+          msg.entries.push_back(
+              SpreadEntry{g, s.pack_ones[g], s.pack_zeros[g]});
         }
-        send.to(nb[slot], msg);  // empty == heartbeat
       }
+      send.many(s.live, std::move(msg));  // empty == heartbeat
       break;
     }
     case Kind::DecideBcast: {
@@ -535,7 +534,7 @@ void OptimalMachine::round(sim::ProcessId p, sim::RoundIo<Msg>& io) {
   auto& scratch = scratch_in_[io.lane()];
   scratch.clear();
   for (const auto& msg : io.inbox()) {
-    scratch.push_back(In{msg.from, &msg.payload});
+    scratch.push_back(In{msg.from, &msg.payload.get()});
   }
   IoOutbox out(io);
   core_.step(p, scratch, out, io.rng());

@@ -9,7 +9,11 @@
 //      ⌈√n⌉ per-group (ones, zeros) counts along the sparse common graph G
 //      for spread_rounds(n) rounds, forwarding each entry at most once per
 //      link, killing links that fall silent, and going inoperative below
-//      Δ/3 live in-links.
+//      Δ/3 live in-links. Every live link is sent to in every spread round
+//      and links only ever die, so within an epoch all live links have
+//      been sent the same entries: one `sent` row per process stands for
+//      all of them, and each round's spread is one multicast to the live
+//      neighbors.
 //   3. Biased-majority vote (lines 9–12): with estimated totals, fraction
 //      of ones > 18/30 → b=1; < 15/30 → b=0; otherwise b = fresh coin
 //      (the protocol's ONLY randomness — one bit per process per epoch).
@@ -167,7 +171,8 @@ class OptimalCore {
     std::vector<std::uint32_t> pack_ones;
     std::vector<std::uint32_t> pack_zeros;
     std::vector<std::uint8_t> link_dead;    // per neighbor slot (persistent)
-    std::vector<std::uint8_t> sent_mask;    // [neighbor][group] (epoch-reset)
+    std::vector<std::uint32_t> live;        // live neighbors, ascending
+    std::vector<std::uint8_t> sent;         // per group (epoch-reset)
     std::vector<std::uint8_t> heard_from;   // per neighbor slot (round scratch)
 
     std::uint32_t last_reset_epoch = UINT32_MAX;
@@ -180,7 +185,6 @@ class OptimalCore {
                rng::Source& rng);
   void produce(std::uint32_t m, const Phase& cur, Outbox& send);
   void decide(std::uint32_t m, std::uint8_t value);
-  std::uint32_t neighbor_slot(std::uint32_t m, std::uint32_t from) const;
   void vote_update(std::uint32_t m, rng::Source& rng);
 
   OptimalConfig cfg_;

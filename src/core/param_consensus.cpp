@@ -145,15 +145,6 @@ void ParamMachine::decide(sim::ProcessId p, std::uint8_t value) {
   terminated_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::uint32_t ParamMachine::neighbor_slot(sim::ProcessId p,
-                                          sim::ProcessId from) const {
-  const auto nb = graph_->neighbors(p);
-  const auto it = std::lower_bound(nb.begin(), nb.end(), from);
-  OMX_CHECK(it != nb.end() && *it == from,
-            "gossip message from a non-neighbor");
-  return static_cast<std::uint32_t>(it - nb.begin());
-}
-
 void ParamMachine::consume(sim::ProcessId p, const Phase& prev,
                            std::span<const In> inbox) {
   auto& s = st_[p];
@@ -161,10 +152,13 @@ void ParamMachine::consume(sim::ProcessId p, const Phase& prev,
     case Kind::Gossip: {
       if (!s.operative) break;  // idle until line 25
       std::fill(s.heard_from.begin(), s.heard_from.end(), 0);
+      graph::NeighborCursor cursor(graph_->neighbors(p));
       for (const In& in : inbox) {
         const auto* gm = std::get_if<GossipMsg>(in.msg);
         if (gm == nullptr) continue;
-        const std::uint32_t slot = neighbor_slot(p, in.from);
+        const std::uint32_t slot = cursor.slot(in.from);
+        OMX_CHECK(slot != graph::NeighborCursor::kAbsent,
+                  "gossip message from a non-neighbor");
         if (s.link_dead[slot]) continue;
         s.heard_from[slot] = 1;
         if (gm->value >= 0 && s.consensus_decision < 0) {
@@ -293,7 +287,7 @@ void ParamMachine::round(sim::ProcessId p, sim::RoundIo<Msg>& io) {
     for (const auto& msg : io.inbox()) {
       OMX_CHECK(msg.from >= lo && msg.from < hi,
                 "non-member message during an inner run");
-      inbox_scratch.push_back(In{msg.from - lo, &msg.payload});
+      inbox_scratch.push_back(In{msg.from - lo, &msg.payload.get()});
     }
     IoOutbox out(io, inner_members_, &scratch_targets_[io.lane()]);
     inner_->step(p - lo, inbox_scratch, out, io.rng());
@@ -303,7 +297,7 @@ void ParamMachine::round(sim::ProcessId p, sim::RoundIo<Msg>& io) {
   if (cur_round_ > 0) {
     inbox_scratch.clear();
     for (const auto& msg : io.inbox()) {
-      inbox_scratch.push_back(In{msg.from, &msg.payload});
+      inbox_scratch.push_back(In{msg.from, &msg.payload.get()});
     }
     consume(p, phase_of(cur_round_ - 1), inbox_scratch);
   }

@@ -110,7 +110,6 @@ class ParamMachine final : public sim::Machine<Msg>,
 
   Phase phase_of(std::uint32_t r) const;
   void decide(sim::ProcessId p, std::uint8_t value);
-  std::uint32_t neighbor_slot(sim::ProcessId p, sim::ProcessId from) const;
   std::uint32_t group_of(sim::ProcessId p) const { return p / group_width_; }
   std::uint32_t local_index(sim::ProcessId p) const {
     return p % group_width_;

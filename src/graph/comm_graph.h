@@ -16,6 +16,7 @@
 // locality and removes a pointer chase per neighbors() call.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -84,6 +85,35 @@ class CommGraph {
   std::vector<std::uint32_t> offsets_;  // n+1 row starts into flat_
   std::vector<Vertex> flat_;            // sorted neighbor lists, concatenated
   std::uint64_t num_edges_ = 0;
+};
+
+/// Slot lookups in one sorted neighbor list for a run of senders that
+/// usually ascends: an engine inbox arrives in ascending sender order, so
+/// each lookup advances a cursor, O(Δ) per inbox in total, instead of
+/// binary-searching per message. A sender at or below the previous hit
+/// (hand-built inboxes) falls back to a binary search.
+class NeighborCursor {
+ public:
+  static constexpr std::uint32_t kAbsent = UINT32_MAX;
+
+  explicit NeighborCursor(std::span<const Vertex> neighbors)
+      : nb_(neighbors) {}
+
+  /// Slot of v in the list, or kAbsent if v is not a neighbor.
+  std::uint32_t slot(Vertex v) {
+    if (next_ > 0 && v <= nb_[next_ - 1]) {
+      next_ = static_cast<std::size_t>(
+          std::lower_bound(nb_.begin(), nb_.end(), v) - nb_.begin());
+    } else {
+      while (next_ < nb_.size() && nb_[next_] < v) ++next_;
+    }
+    if (next_ == nb_.size() || nb_[next_] != v) return kAbsent;
+    return static_cast<std::uint32_t>(next_++);
+  }
+
+ private:
+  std::span<const Vertex> nb_;
+  std::size_t next_ = 0;
 };
 
 }  // namespace omx::graph

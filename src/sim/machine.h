@@ -73,7 +73,7 @@ class RoundIo {
     if (stream_ != nullptr) {
       stream_->stream_inbox(self_, std::forward<Fn>(fn));
     } else {
-      for (const Message<P>& msg : inbox_) fn(msg.from, msg.payload);
+      for (const Message<P>& msg : inbox_) fn(msg.from, msg.payload.get());
     }
   }
 

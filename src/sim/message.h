@@ -8,6 +8,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <functional>
 #include <utility>
 
 namespace omx::sim {
@@ -25,11 +26,16 @@ std::uint64_t bit_size(const P& p) {
   return p.bit_size();
 }
 
+/// One delivered message. The payload is a reference into the sealed wire
+/// it was sent on (each distinct payload is stored there once, however
+/// many receivers it fans out to); it stays valid until the receiver's
+/// next round ends. `payload` converts to `const P&`; use `payload.get()`
+/// for member access.
 template <class P>
 struct Message {
   ProcessId from;
   ProcessId to;
-  P payload;
+  std::reference_wrapper<const P> payload;
 };
 
 }  // namespace omx::sim

@@ -31,14 +31,20 @@
 //   * deliver() — materialized (default): a stable counting sort of the
 //     surviving logical messages into one contiguous buffer plus a
 //     per-receiver offset table; every inbox is a
-//     std::span<const Message<P>>. Accounting is aggregate (sealed message
-//     count, cached wire bits, drop popcount — identical totals to a
-//     per-message walk); trace emission walks the groups in logical-index
-//     order, reproducing the legacy per-record stream bit-for-bit. Given a
-//     thread pool, the count/scatter passes shard by destination range:
-//     each lane counts and scatters only receivers in [n·w/L, n·(w+1)/L),
-//     so inboxes land in disjoint staging slices and the result is
-//     bit-identical to the serial sort at every lane count.
+//     std::span<const Message<P>>. An inbox entry is 16 trivially copyable
+//     bytes: sender, receiver and a reference to the payload on the sealed
+//     wire — no payload is copied. The delivered wire outlives the call:
+//     the own log is swapped into the front buffer (as deliver_streamed()
+//     does) and stitched shard arenas are double-banked by the engine, so
+//     the references hold until the next round's delivery. Accounting is
+//     aggregate (sealed message count, cached wire bits, drop popcount —
+//     identical totals to a per-message walk); trace emission walks the
+//     groups in logical-index order, reproducing the legacy per-record
+//     stream bit-for-bit. Given a thread pool, the count/scatter passes
+//     shard by destination range: each lane counts and scatters only
+//     receivers in [n·w/L, n·(w+1)/L), so inboxes land in disjoint staging
+//     slices and the result is bit-identical to the serial sort at every
+//     lane count.
 //   * deliver_streamed() — nothing is materialized: accounting is done per
 //     group (fanout × cached payload bits) plus one popcount scan of the
 //     drop set, and the sealed wire is swapped into a front buffer that
@@ -63,11 +69,14 @@
 //
 // All buffers have round-persistent capacity: after warm-up, a round
 // allocates only whatever the payloads themselves allocate internally.
+// A round's payloads live until the round after next begins: one round on
+// the wire, one round in the receivers' inboxes (or streamed front buffer).
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <new>
 #include <span>
 #include <string>
@@ -494,14 +503,14 @@ class MessagePlane {
 
   /// Materialized delivery. Account every logical message (sent-but-omitted
   /// still costs bits: the sender spent them), then counting-sort the
-  /// survivors into the inbox buffer. Stable: each inbox sees its messages
-  /// in global send order, exactly as the per-receiver push_back delivery
-  /// did. With a trace sink, emits one kSend per logical message (and a
-  /// kDrop after each omitted one) in wire order — the canonical order
-  /// segment stitching already guarantees, so traced streams are
-  /// bit-identical across thread counts. With a pool, the count and
-  /// scatter passes shard by destination range (bit-identical result;
-  /// traced runs stay serial).
+  /// survivors into the inbox buffer as references to their wire payloads.
+  /// Stable: each inbox sees its messages in global send order, exactly as
+  /// the per-receiver push_back delivery did. With a trace sink, emits one
+  /// kSend per logical message (and a kDrop after each omitted one) in wire
+  /// order — the canonical order segment stitching already guarantees, so
+  /// traced streams are bit-identical across thread counts. With a pool,
+  /// the count and scatter passes shard by destination range
+  /// (bit-identical result; traced runs stay serial).
   void deliver(Metrics& m, trace::TraceWriter* trace = nullptr,
                support::ThreadPool* pool = nullptr, unsigned lanes = 1) {
     check_sealed();
@@ -545,9 +554,12 @@ class MessagePlane {
     } else {
       scatter_range(0, n_);
     }
-    staging_.live = std::max(staging_.live, sealed_ - dropped);
     inbox_store_.swap(staging_);
     inbox_offsets_.swap(scratch_offsets_);
+    // The inboxes reference the sealed wire: keep the own log's payloads
+    // alive while log_ collects the next round (stitched shard arenas stay
+    // in place; the engine double-banks them).
+    std::swap(log_, front_log_);
   }
 
   /// Streamed delivery: aggregate accounting (identical Metrics totals to
@@ -797,12 +809,9 @@ class MessagePlane {
   /// Scatter the survivors addressed to [lo, hi) into the staging buffer
   /// through the per-receiver cursors. Stable: the wire index is walked in
   /// global send order, so for a fixed receiver the cursor advances in
-  /// send order — identical inboxes at every lane count. Payloads are
-  /// copied (never moved): a broadcast payload is shared by several
-  /// receivers, possibly on different lanes. Live slots are overwritten
-  /// by assignment, so a payload holding a heap buffer (e.g. a vector)
-  /// reuses last round's capacity in place; slots past the live prefix
-  /// are constructed here, by the lane that owns them.
+  /// send order — identical inboxes at every lane count. A slot records a
+  /// reference to the wire payload, never a copy: a broadcast payload is
+  /// shared, read-only, by all its receivers, possibly on different lanes.
   void scatter_range(ProcessId lo, ProcessId hi) {
     for (const WireGroup& g : wire_) {
       const std::uint32_t fan = fanout(g);
@@ -823,16 +832,8 @@ class MessagePlane {
         if (to < lo || to >= hi) continue;
         const std::uint64_t i = g.base + r;
         if (drops_.test(static_cast<std::size_t>(i))) continue;
-        const std::size_t slot = counts_[to]++;
-        if (slot < staging_.live) {
-          Message<P>& dst = staging_.data[slot];
-          dst.from = g.from;
-          dst.to = to;
-          dst.payload = *g.payload;
-        } else {
-          ::new (static_cast<void*>(staging_.data + slot))
-              Message<P>{g.from, to, *g.payload};
-        }
+        ::new (static_cast<void*>(staging_.data + counts_[to]++))
+            Message<P>{g.from, to, std::cref(*g.payload)};
       }
     }
   }
@@ -905,9 +906,10 @@ class MessagePlane {
   std::size_t non_list_groups_ = 0;
   mutable std::size_t hint_ = 0;    // sequential-access cursor for locate()
 
-  // Streamed-mode front buffer: last round's sealed wire index (plus the
-  // own-log contents, swapped out of the way of the next round), readable
-  // while the next round's sends accumulate.
+  // Front buffer: last round's own-log contents, swapped out of the way of
+  // the next round so delivered inboxes (or the streamed front wire) can
+  // keep referencing them. The rest is streamed mode's: last round's sealed
+  // wire index, readable while the next round's sends accumulate.
   SendLog<P> front_log_;
   std::vector<WireGroup> front_wire_;
   DropSet front_drops_;
@@ -924,40 +926,32 @@ class MessagePlane {
   std::vector<std::size_t> scratch_offsets_;
   std::vector<ListedEntry> listed_;
   std::vector<std::size_t> listed_offsets_;
-  /// Inbox storage: raw memory whose first `live` slots hold constructed
-  /// messages. Growing allocates untouched memory and scatter_range()
-  /// constructs each new slot on the lane that owns it, so the page faults
-  /// of a grown buffer (tens of MB per round at n=1024) are taken by all
-  /// lanes instead of serially by one thread before the scatter. Slots
-  /// past the current round's messages keep their stale contents until a
-  /// later round overwrites them or the buffer grows.
+  /// Inbox storage: raw memory for trivially copyable messages. Growing
+  /// allocates untouched memory and scatter_range() writes each slot on
+  /// the lane that owns it, so the page faults of a grown buffer are taken
+  /// by all lanes instead of serially by one thread before the scatter.
+  static_assert(std::is_trivially_copyable_v<Message<P>> &&
+                    std::is_trivially_destructible_v<Message<P>>,
+                "inbox slots are raw memory, never destroyed");
   struct Slots {
     Message<P>* data = nullptr;
     std::size_t cap = 0;
-    std::size_t live = 0;
 
     Slots() = default;
     Slots(const Slots&) = delete;
     Slots& operator=(const Slots&) = delete;
-    ~Slots() { release(); }
+    ~Slots() { ::operator delete(static_cast<void*>(data)); }
 
     void swap(Slots& o) noexcept {
       std::swap(data, o.data);
       std::swap(cap, o.cap);
-      std::swap(live, o.live);
     }
 
-    void release() {
-      for (std::size_t i = 0; i < live; ++i) data[i].~Message<P>();
-      ::operator delete(static_cast<void*>(data));
-      data = nullptr;
-      cap = live = 0;
-    }
     /// Room for n slots; the contents are dropped when the buffer grows.
     void reserve(std::size_t n) {
       if (n <= cap) return;
       const std::size_t grown = std::max(n, cap + cap / 2);
-      release();
+      ::operator delete(static_cast<void*>(data));
       data = static_cast<Message<P>*>(
           ::operator new(grown * sizeof(Message<P>)));
       cap = grown;

@@ -3,20 +3,25 @@
 // serial wire exactly, pool-sharded counting-sort delivery yields
 // bit-identical inboxes and metrics, drop_where/scan_messages match the
 // serial scans (including rng draw order), the all-multicast streamed fast
-// path replays the same messages, and the thread pool's per-lane busy
-// counters actually tick.
+// path replays the same messages, materialized inboxes (references into
+// the sealed wire) outlive the next round's send phase, and the thread
+// pool's per-lane busy counters actually tick.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
+#include "adversary/strategies.h"
+#include "core/messages.h"
 #include "core/params.h"
 #include "harness/experiment.h"
 #include "sim/adversary.h"
 #include "sim/message_plane.h"
 #include "sim/metrics.h"
+#include "rng/ledger.h"
 #include "sim/runner.h"
 #include "support/thread_pool.h"
 
@@ -120,7 +125,7 @@ TEST(ParallelDelivery, InboxesAndMetricsMatchSerial) {
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(b[i].from, a[i].from);
       EXPECT_EQ(b[i].to, a[i].to);
-      EXPECT_EQ(b[i].payload, a[i].payload);
+      EXPECT_EQ(b[i].payload.get(), a[i].payload.get());
     }
   }
 }
@@ -242,7 +247,7 @@ TEST(StreamedDelivery, AllMulticastWireTakesTheListOnlyPathCorrectly) {
     ASSERT_EQ(got.size(), ref.size()) << "p" << p;
     for (std::size_t i = 0; i < ref.size(); ++i) {
       EXPECT_EQ(got[i].first, ref[i].from);
-      EXPECT_EQ(got[i].second, ref[i].payload);
+      EXPECT_EQ(got[i].second, ref[i].payload.get());
     }
   }
 }
@@ -279,6 +284,153 @@ TEST(EngineStats, ShardedRoundsBillEveryLane) {
   EXPECT_EQ(stats.fused_ns, 0u);  // kept for external drivers, always 0
   ASSERT_EQ(stats.lane_busy_ns.size(), 4u);
   for (const std::uint64_t ns : stats.lane_busy_ns) EXPECT_GT(ns, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Reference inboxes: an inbox entry points at its payload on the sealed
+// wire, so the wire must stay intact until the receivers' round is over —
+// while the next round's sends reallocate the own log and fill the other
+// bank of shard arenas.
+
+static_assert(std::is_trivially_copyable_v<Message<core::Msg>>);
+static_assert(sizeof(Message<core::Msg>) == 16);
+
+/// p's payload in `round`: a spread message (heap entries) that encodes
+/// (p, round), so a receiver can tell whose and which round's it reads.
+core::Msg spread_of(ProcessId p, std::uint32_t round) {
+  core::SpreadMsg m;
+  for (std::uint32_t i = 0; i <= (p + round) % 5; ++i) {
+    m.entries.push_back(core::SpreadEntry{p, round, i});
+  }
+  return m;
+}
+
+bool is_spread_of(const core::Msg& msg, ProcessId p, std::uint32_t round) {
+  const auto* sm = std::get_if<core::SpreadMsg>(&msg);
+  if (sm == nullptr || sm->entries.size() != (p + round) % 5 + 1) {
+    return false;
+  }
+  for (std::uint32_t i = 0; i < sm->entries.size(); ++i) {
+    const core::SpreadEntry& e = sm->entries[i];
+    if (e.group != p || e.ones != round || e.zeros != i) return false;
+  }
+  return true;
+}
+
+/// Three receivers of p's multicast.
+std::vector<ProcessId> list_of(ProcessId p, std::uint32_t n) {
+  return {(p + 2) % n, (p + 3) % n, (p + 5) % n};
+}
+
+/// Round `round`'s sends of processes [lo, hi): a broadcast, a unicast to
+/// the next process and a multicast, each its own payload.
+void queue_spread(SendLog<core::Msg>& log, std::uint32_t lo, std::uint32_t hi,
+                  std::uint32_t round) {
+  const std::uint32_t n = log.num_processes();
+  for (ProcessId p = lo; p < hi; ++p) {
+    log.broadcast(p, spread_of(p, round), /*include_self=*/false);
+    log.send(p, (p + 1) % n, spread_of(p, round));
+    log.multicast(p, list_of(p, n), spread_of(p, round));
+  }
+}
+
+TEST(ReferenceInboxes, OutliveTheNextRoundsSendPhase) {
+  // Round 0: the own log carries the first quarter of the senders, one
+  // bank of shard arenas the rest.
+  MessagePlane<core::Msg> plane(kN);
+  std::vector<SendLog<core::Msg>> bank0, bank1;
+  for (unsigned w = 0; w < 2; ++w) {
+    bank0.emplace_back(kN);
+    bank1.emplace_back(kN);
+  }
+  plane.begin_round(0);
+  queue_spread(plane.log(), 0, kN / 4, 0);
+  queue_spread(bank0[0], kN / 4, kN / 2, 0);
+  queue_spread(bank0[1], kN / 2, kN, 0);
+  SendLog<core::Msg>* const banked0[] = {&bank0[0], &bank0[1]};
+  plane.stitch(banked0);
+  plane.seal();
+  Metrics m;
+  plane.deliver(m);
+  std::vector<std::vector<ProcessId>> senders(kN);
+  for (ProcessId p = 0; p < kN; ++p) {
+    ASSERT_EQ(plane.inbox(p).size(), kN + 3u) << "p" << p;
+    for (const Message<core::Msg>& msg : plane.inbox(p)) {
+      senders[p].push_back(msg.from);
+    }
+  }
+
+  // Round 1: eight times round 0's sends through the own log (its payload
+  // vector reallocates), plus the other bank; then seal.
+  plane.begin_round(1);
+  for (int rep = 0; rep < 8; ++rep) queue_spread(plane.log(), 0, kN, 1);
+  queue_spread(bank1[0], 0, kN / 2, 1);
+  queue_spread(bank1[1], kN / 2, kN, 1);
+  SendLog<core::Msg>* const banked1[] = {&bank1[0], &bank1[1]};
+  plane.stitch(banked1);
+  plane.seal();
+
+  for (ProcessId p = 0; p < kN; ++p) {
+    const auto inbox = plane.inbox(p);
+    ASSERT_EQ(inbox.size(), senders[p].size()) << "p" << p;
+    for (std::size_t i = 0; i < inbox.size(); ++i) {
+      EXPECT_EQ(inbox[i].from, senders[p][i]);
+      EXPECT_EQ(inbox[i].to, p);
+      EXPECT_TRUE(is_spread_of(inbox[i].payload, inbox[i].from, 0))
+          << "p" << p << " message " << i;
+    }
+  }
+}
+
+/// Every process sends round r's payloads (as queue_spread) and, in round
+/// r+1, checks that its inbox holds exactly round r's payloads addressed
+/// to it, while its own sends of round r+1 go on the wire.
+class SpreadEchoMachine final : public Machine<core::Msg> {
+ public:
+  static constexpr std::uint32_t kRounds = 6;
+
+  std::uint32_t num_processes() const override { return kN; }
+  void begin_round(std::uint32_t round) override { cur_ = round; }
+  void round(ProcessId p, RoundIo<core::Msg>& io) override {
+    if (cur_ > 0) {
+      const auto inbox = io.inbox();
+      bad_[p] += inbox.size() != kN + 3u;
+      for (const Message<core::Msg>& msg : inbox) {
+        bad_[p] += msg.to != p || !is_spread_of(msg.payload, msg.from, cur_ - 1);
+      }
+      checked_[p] += 1;
+    }
+    io.send_to_all(spread_of(p, cur_));
+    io.send((p + 1) % kN, spread_of(p, cur_));
+    io.send_to(list_of(p, kN), spread_of(p, cur_));
+  }
+  bool finished() const override { return cur_ + 1 >= kRounds; }
+
+  std::vector<std::uint32_t> bad_ = std::vector<std::uint32_t>(kN, 0);
+  std::vector<std::uint32_t> checked_ = std::vector<std::uint32_t>(kN, 0);
+
+ private:
+  std::uint32_t cur_ = 0;
+};
+
+TEST(ReferenceInboxes, SurviveShardedRoundsThroughRunner) {
+  for (const unsigned lanes : {1u, 2u, 4u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    SpreadEchoMachine machine;
+    rng::Ledger ledger(kN, 1);
+    adversary::NullAdversary<core::Msg> none;
+    EngineStats stats;
+    Runner<core::Msg>::Options opts;
+    opts.threads = lanes;
+    opts.stats = &stats;
+    Runner<core::Msg> runner(kN, 0, &ledger, &none, opts);
+    runner.run(machine);
+    EXPECT_EQ(stats.parallel_rounds, lanes > 1 ? stats.rounds : 0u);
+    for (ProcessId p = 0; p < kN; ++p) {
+      EXPECT_EQ(machine.bad_[p], 0u) << "p" << p;
+      EXPECT_EQ(machine.checked_[p], SpreadEchoMachine::kRounds - 1) << p;
+    }
+  }
 }
 
 }  // namespace

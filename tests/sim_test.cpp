@@ -29,7 +29,7 @@ class RingMachine final : public Machine<Ping> {
   void begin_round(std::uint32_t round) override { cur_ = round; }
   void round(ProcessId p, RoundIo<Ping>& io) override {
     for (const auto& m : io.inbox()) {
-      received_[p].push_back(m.payload.value);
+      received_[p].push_back(m.payload.get().value);
     }
     if (cur_ < rounds_) {
       io.send((p + 1) % n_, Ping{p * 1000 + cur_});
@@ -188,7 +188,7 @@ class FanOutMachine final : public Machine<Ping> {
   void begin_round(std::uint32_t r) override { cur_ = r; }
   void round(ProcessId p, RoundIo<Ping>& io) override {
     for (const auto& m : io.inbox()) {
-      received_[p].push_back(m.from * 1000 + m.payload.value);
+      received_[p].push_back(m.from * 1000 + m.payload.get().value);
     }
     if (cur_ == 0) {
       if (p == 0) {

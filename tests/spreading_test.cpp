@@ -61,45 +61,86 @@ TEST(Spreading, DeadLinksAlwaysTouchAFaultyEndpoint) {
   }
 }
 
-/// Counts SpreadEntry occurrences per (sender, receiver, group) per epoch.
+/// Counts SpreadEntry occurrences per (sender, receiver, group) per epoch,
+/// after letting an optional inner adversary act on the round. Also counts
+/// the senders whose spread fan-out shrank from one round to the next
+/// within an epoch: a link died mid-epoch.
 class ForwardOnceAuditor final : public sim::Adversary<Msg> {
  public:
-  ForwardOnceAuditor(std::uint32_t epoch_rounds) : epoch_rounds_(epoch_rounds) {}
+  ForwardOnceAuditor(std::uint32_t epoch_rounds,
+                     sim::Adversary<Msg>* inner = nullptr)
+      : epoch_rounds_(epoch_rounds), inner_(inner) {}
 
   void intervene(sim::AdversaryContext<Msg>& ctx) override {
+    if (inner_ != nullptr) inner_->intervene(ctx);
     const std::uint32_t epoch = ctx.round() / epoch_rounds_;
+    std::map<std::uint32_t, std::uint32_t> fanout;
     for (const auto& m : ctx.messages()) {
       const auto* sm = std::get_if<SpreadMsg>(&m.payload);
       if (sm == nullptr) continue;
+      ++fanout[m.from];
       for (const auto& e : sm->entries) {
         const auto key = std::make_tuple(epoch, m.from, m.to, e.group);
         violations_ += !seen_.insert(key).second;
       }
     }
+    if (ctx.round() == last_round_ + 1 && epoch == last_epoch_) {
+      for (const auto& [from, fan] : fanout) {
+        const auto it = last_fanout_.find(from);
+        shrinks_ += it != last_fanout_.end() && fan < it->second;
+      }
+    }
+    last_round_ = ctx.round();
+    last_epoch_ = epoch;
+    last_fanout_ = std::move(fanout);
   }
 
   std::uint64_t violations() const { return violations_; }
+  std::uint64_t entries() const { return seen_.size(); }
+  std::uint64_t shrinks() const { return shrinks_; }
 
  private:
   std::uint32_t epoch_rounds_;
+  sim::Adversary<Msg>* inner_;
   std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t,
                       std::uint32_t>> seen_;
   std::uint64_t violations_ = 0;
+  std::uint32_t last_round_ = UINT32_MAX - 1;
+  std::uint32_t last_epoch_ = UINT32_MAX;
+  std::map<std::uint32_t, std::uint32_t> last_fanout_;
+  std::uint64_t shrinks_ = 0;
 };
 
 TEST(Spreading, EachGroupCountCrossesEachLinkAtMostOncePerEpoch) {
+  // Fault-free, then under group-killer: links to the silenced groups die
+  // during the spreading rounds, so each process keeps forwarding to a
+  // shrinking live set while the dead links' history differs.
   const std::uint32_t n = 144;
-  OptimalConfig cfg;
-  cfg.t = 0;
-  auto inputs = harness::make_inputs(harness::InputPattern::Random, n, 3);
-  OptimalMachine machine(cfg, inputs);
-  rng::Ledger ledger(n, 3);
-  ForwardOnceAuditor auditor(machine.core().epoch_rounds());
-  sim::Runner<Msg> runner(n, 0, &ledger, &auditor);
-  machine.set_fault_view(&runner.faults());
-  runner.run(machine);
-  EXPECT_EQ(auditor.violations(), 0u)
-      << "Lemma 2 amortization: entries must be forwarded once per link";
+  for (const std::uint32_t t : {0u, core::Params::max_t_optimal(n)}) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    OptimalConfig cfg;
+    cfg.t = t;
+    auto inputs = harness::make_inputs(harness::InputPattern::Random, n, 3);
+    OptimalMachine machine(cfg, inputs);
+    rng::Ledger ledger(n, 3);
+    const auto partition = groups::SqrtPartition::shared_for(n);
+    std::vector<std::vector<sim::ProcessId>> groups;
+    for (std::uint32_t g = 0; g < partition->num_groups(); ++g) {
+      const auto members = partition->members(g);
+      groups.emplace_back(members.begin(), members.end());
+    }
+    adversary::GroupKillerAdversary<Msg> killer(std::move(groups));
+    ForwardOnceAuditor auditor(machine.core().epoch_rounds(),
+                               t > 0 ? &killer : nullptr);
+    sim::Runner<Msg> runner(n, t, &ledger, &auditor);
+    machine.set_fault_view(&runner.faults());
+    runner.run(machine);
+    EXPECT_GT(auditor.entries(), 0u);
+    EXPECT_EQ(machine.core().dead_links().empty(), t == 0);
+    EXPECT_EQ(auditor.shrinks() > 0, t > 0) << "no link died mid-epoch";
+    EXPECT_EQ(auditor.violations(), 0u)
+        << "Lemma 2 amortization: entries must be forwarded once per link";
+  }
 }
 
 TEST(Spreading, HeartbeatBitsAreSmall) {
