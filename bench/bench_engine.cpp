@@ -19,8 +19,9 @@
 // The workloads are chosen to stress the delivery substrate, not the
 // protocols: FloodSet is all-to-all with Θ(n)-sized payloads (the
 // worst-case wire volume per round), Optimal is tens of millions of small
-// messages (record-throughput bound). The /streamed rows run the same
-// flood workloads without inbox materialization.
+// messages (record-throughput bound). floodset/none/4096 is the
+// all-to-all round at a size where only broadcast-group delivery (no
+// per-message inbox entries) fits in memory.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -55,7 +56,6 @@ struct Workload {
   omx::harness::Attack attack;
   std::uint32_t n;
   int reps;
-  bool streamed = false;
 };
 
 struct Sample {
@@ -76,7 +76,6 @@ Sample run_workload(omx::harness::Sweep& sweep, const Workload& w,
     cfg.inputs = omx::harness::InputPattern::Random;
     cfg.seed = 1;
     cfg.threads = threads;
-    cfg.streamed = w.streamed;
     cfg.trace_path = trace_path;
     omx::sim::EngineStats stats;
     cfg.engine_stats = &stats;
@@ -227,10 +226,8 @@ int run_bench(int argc, char** argv) {
        omx::harness::Attack::None, 1024, 3},
       {"floodset/rand-omit/1024", omx::harness::Algo::FloodSet,
        omx::harness::Attack::RandomOmission, 1024, 3},
-      {"floodset/none/1024/streamed", omx::harness::Algo::FloodSet,
-       omx::harness::Attack::None, 1024, 3, /*streamed=*/true},
-      {"floodset/none/4096/streamed", omx::harness::Algo::FloodSet,
-       omx::harness::Attack::None, 4096, 2, /*streamed=*/true},
+      {"floodset/none/4096", omx::harness::Algo::FloodSet,
+       omx::harness::Attack::None, 4096, 2},
       {"optimal/none/1024", omx::harness::Algo::Optimal,
        omx::harness::Attack::None, 1024, 2},
   };

@@ -54,14 +54,17 @@ void BenOrMachine::round(sim::ProcessId p, sim::RoundIo<core::Msg>& io) {
   if (r > fallback_start_) {
     // Fallback regime: decision gossip still short-circuits (a process
     // that adopts it terminates, so whatever it merged before is unused).
-    io.for_each_in([&](sim::ProcessId, const core::Msg& payload) {
-      if (s.terminated) return;
+    for (const auto& msg : io.inbox()) {
+      const core::Msg& payload = msg.payload;
       if (const auto* gm = std::get_if<core::GossipMsg>(&payload)) {
-        if (gm->value >= 0) decide(p, static_cast<std::uint8_t>(gm->value));
+        if (gm->value >= 0) {
+          decide(p, static_cast<std::uint8_t>(gm->value));
+          break;
+        }
       } else {
         fallback_.consume_one(p, payload);
       }
-    });
+    }
     if (s.terminated) return;
     core::IoOutbox out(io);
     fallback_.step(p, r - fallback_start_, out);
@@ -73,14 +76,15 @@ void BenOrMachine::round(sim::ProcessId p, sim::RoundIo<core::Msg>& io) {
   if (r >= 1) {
     std::uint64_t ones = 0, zeros = 0;
     std::int8_t gossip = -1;
-    io.for_each_in([&](sim::ProcessId, const core::Msg& payload) {
+    for (const auto& msg : io.inbox()) {
+      const core::Msg& payload = msg.payload;
       if (const auto* dm = std::get_if<core::DecisionMsg>(&payload)) {
         if (dm->value == 1) ++ones;
         else ++zeros;
       } else if (const auto* gm = std::get_if<core::GossipMsg>(&payload)) {
         if (gm->value >= 0 && gossip < 0) gossip = gm->value;
       }
-    });
+    }
     if (gossip >= 0 && !s.decided) {
       s.b = static_cast<std::uint8_t>(gossip);
       s.decided = true;  // adopt + relay below

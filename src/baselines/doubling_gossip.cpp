@@ -103,8 +103,8 @@ void DoublingGossipMachine::round(sim::ProcessId p,
       std::uint32_t responses = 0;
       auto& ops = scratch_ops_[io.lane()];
       ops.clear();
-      io.for_each_in([&](sim::ProcessId, const Msg& payload) {
-        if (const auto* rm = std::get_if<RunMsg>(&payload)) {
+      for (const auto& msg : io.inbox()) {
+        if (const auto* rm = std::get_if<RunMsg>(&msg.payload.get())) {
           ++responses;
           if (rm->delta != nullptr && !rm->delta->empty()) {
             // Rebase the responder's frame into ours: absolute id is
@@ -113,7 +113,7 @@ void DoublingGossipMachine::round(sim::ProcessId p,
                                      (rm->rot + n_ - (p % n_)) % n_});
           }
         }
-      });
+      }
       if (!ops.empty()) {
         // Canonical operand order → one memo entry per distinct task; in
         // the symmetric fault-free execution that is one per round for the
@@ -156,11 +156,11 @@ void DoublingGossipMachine::round(sim::ProcessId p,
   // --- respond round: one delta per channel snapshot, batched so that
   // consecutive inquirers sharing a snapshot share one wire payload ---
   s.inquirers.clear();
-  io.for_each_in([&](sim::ProcessId from, const Msg& payload) {
-    if (std::get_if<InquireMsg>(&payload) != nullptr) {
-      s.inquirers.push_back(from);
+  for (const auto& msg : io.inbox()) {
+    if (std::get_if<InquireMsg>(&msg.payload.get()) != nullptr) {
+      s.inquirers.push_back(msg.from);
     }
-  });
+  }
   const auto snapshot_of = [&](sim::ProcessId q) -> RunSetPtr {
     for (const auto& entry : s.snaps) {
       if (entry.first == q) return entry.second;

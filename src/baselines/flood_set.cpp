@@ -25,10 +25,9 @@ void FloodSetMachine::round(sim::ProcessId p, sim::RoundIo<core::Msg>& io) {
   auto& s = st_[p];
   if (s.terminated) return;
   if (!fallback_.inbox_is_noop(p, cur_round_)) {
-    // Merge straight out of the wire walk — FloodSet never needs the
-    // sender id or a materialized inbox, and the extra collect-then-walk
-    // pass is measurable at large n.
-    fallback_.consume_stream(p, io);
+    // Merge straight out of the inbox walk — FloodSet never needs the
+    // sender id, and a collect-then-walk pass is measurable at large n.
+    fallback_.consume_inbox(p, io);
   }
   core::IoOutbox out(io);
   fallback_.step(p, cur_round_, out);

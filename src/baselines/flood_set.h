@@ -20,8 +20,6 @@ namespace omx::baselines {
 
 class FloodSetMachine final : public sim::Machine<core::Msg> {
  public:
-  /// Consumes through for_each_in, so the run also works under streamed
-  /// delivery.
   FloodSetMachine(std::uint32_t t, std::vector<std::uint8_t> inputs);
 
   void set_fault_view(const sim::FaultState* faults) { faults_ = faults; }

@@ -86,16 +86,14 @@ class FloodFallback {
     }
   }
 
-  /// consume_one() for every message of m's inbox, straight out of the
-  /// wire walk (works under materialized and streamed delivery).
+  /// consume_one() for every message of m's inbox.
   template <class Io>
-  void consume_stream(std::uint32_t m, Io& io) {
-    io.for_each_in(
-        [this, m](sim::ProcessId, const Msg& msg) { consume_one(m, msg); });
+  void consume_inbox(std::uint32_t m, Io& io) {
+    for (const auto& msg : io.inbox()) consume_one(m, msg.payload);
   }
 
   /// Produce member m's round-fr sends, after the messages sent in round
-  /// fr-1 were consumed (consume_one / consume_stream).
+  /// fr-1 were consumed (consume_one / consume_inbox).
   void step(std::uint32_t m, std::uint32_t fr, Outbox& send) {
     OMX_REQUIRE(fr < total_rounds(), "fallback round out of schedule");
     auto& s = state_[m];

@@ -45,9 +45,10 @@ ParamMachine::ParamMachine(ParamConfig config,
   for (std::uint32_t p = 0; p < n_; ++p) {
     auto& s = st_[p];
     s.b = inputs[p];
-    const auto deg = graph_->degree(p);
-    s.link_dead.assign(deg, 0);
-    s.heard_from.assign(deg, 0);
+    const auto nb = graph_->neighbors(p);
+    s.link_dead.assign(nb.size(), 0);
+    s.live.assign(nb.begin(), nb.end());
+    s.heard_from.assign(nb.size(), 0);
   }
 }
 
@@ -152,7 +153,8 @@ void ParamMachine::consume(sim::ProcessId p, const Phase& prev,
     case Kind::Gossip: {
       if (!s.operative) break;  // idle until line 25
       std::fill(s.heard_from.begin(), s.heard_from.end(), 0);
-      graph::NeighborCursor cursor(graph_->neighbors(p));
+      const auto nb = graph_->neighbors(p);
+      graph::NeighborCursor cursor(nb);
       for (const In& in : inbox) {
         const auto* gm = std::get_if<GossipMsg>(in.msg);
         if (gm == nullptr) continue;
@@ -166,9 +168,20 @@ void ParamMachine::consume(sim::ProcessId p, const Phase& prev,
         }
       }
       std::uint32_t received = 0;
+      bool link_died = false;
       for (std::size_t slot = 0; slot < s.heard_from.size(); ++slot) {
-        if (s.heard_from[slot]) ++received;
-        else if (!s.link_dead[slot]) s.link_dead[slot] = 1;
+        if (s.heard_from[slot]) {
+          ++received;
+        } else if (!s.link_dead[slot]) {
+          s.link_dead[slot] = 1;
+          link_died = true;
+        }
+      }
+      if (link_died) {
+        s.live.clear();
+        for (std::size_t slot = 0; slot < nb.size(); ++slot) {
+          if (!s.link_dead[slot]) s.live.push_back(nb[slot]);
+        }
       }
       if (received < min_in_links_) {
         s.operative = false;
@@ -233,13 +246,7 @@ void ParamMachine::produce(sim::ProcessId p, const Phase& cur,
   switch (cur.kind) {
     case Kind::Gossip: {
       if (!s.operative) break;
-      const auto nb = graph_->neighbors(p);
-      auto& targets = scratch_targets_[io.lane()];
-      targets.clear();
-      for (std::uint32_t slot = 0; slot < nb.size(); ++slot) {
-        if (!s.link_dead[slot]) targets.push_back(nb[slot]);
-      }
-      io.send_to(targets, GossipMsg{s.consensus_decision});
+      io.send_to(s.live, GossipMsg{s.consensus_decision});
       break;
     }
     case Kind::SafetySend: {
@@ -270,7 +277,7 @@ void ParamMachine::round(sim::ProcessId p, sim::RoundIo<Msg>& io) {
   const Phase cur = phase_of(cur_round_);
 
   if (cur.kind == Kind::Fallback) {
-    fallback_.consume_stream(p, io);
+    fallback_.consume_inbox(p, io);
     IoOutbox out(io);
     fallback_.step(p, cur.fallback_round, out);
     if (fallback_.has_decision(p)) decide(p, fallback_.decision(p));

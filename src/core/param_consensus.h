@@ -105,6 +105,7 @@ class ParamMachine final : public sim::Machine<Msg>,
     std::uint8_t decision = 0;
     std::int64_t decision_round = -1;
     std::vector<std::uint8_t> link_dead;   // per neighbor slot (persistent)
+    std::vector<std::uint32_t> live;       // live neighbors, ascending
     std::vector<std::uint8_t> heard_from;  // round scratch
   };
 

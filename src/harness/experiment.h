@@ -94,10 +94,10 @@ struct ExperimentConfig {
   /// search states written with packed=1 keep their keys. Still rejected
   /// off the flood paths (FloodSet / BenOr), as it always was.
   bool packed = false;
-  /// Streamed delivery (FloodSet / BenOr only): phase 3 never materializes
-  /// inboxes; machines iterate the sealed wire via RoundIo::for_each_in().
-  /// Metrics-identical to materialized delivery; incompatible with
-  /// trace_path (per-message events need materialized delivery).
+  /// Selects nothing: every run takes the engine's one delivery path. Kept
+  /// because it is serialized and hashed — checkpoints, .repro files and
+  /// search states written with streamed=1 keep their keys. Accepted with
+  /// every machine and with trace_path.
   bool streamed = false;
   /// When non-empty, write a binary event trace of the run to this path
   /// (trace/trace.h format; analyze with `omxtrace stats|dump|diff`). The

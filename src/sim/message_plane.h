@@ -27,39 +27,21 @@
 // byte-identical to a serial round while the old O(payloads + receivers)
 // merge copy is gone entirely.
 //
-// Two delivery modes:
-//   * deliver() — materialized (default): a stable counting sort of the
-//     surviving logical messages into one contiguous buffer plus a
-//     per-receiver offset table; every inbox is a
-//     std::span<const Message<P>>. An inbox entry is 16 trivially copyable
-//     bytes: sender, receiver and a reference to the payload on the sealed
-//     wire — no payload is copied. The delivered wire outlives the call:
-//     the own log is swapped into the front buffer (as deliver_streamed()
-//     does) and stitched shard arenas are double-banked by the engine, so
-//     the references hold until the next round's delivery. Accounting is
-//     aggregate (sealed message count, cached wire bits, drop popcount —
-//     identical totals to a per-message walk); trace emission walks the
-//     groups in logical-index order, reproducing the legacy per-record
-//     stream bit-for-bit. Given a thread pool, the count/scatter passes
-//     shard by destination range: each lane counts and scatters only
-//     receivers in [n·w/L, n·(w+1)/L), so inboxes land in disjoint staging
-//     slices and the result is bit-identical to the serial sort at every
-//     lane count.
-//   * deliver_streamed() — nothing is materialized: accounting is done per
-//     group (fanout × cached payload bits) plus one popcount scan of the
-//     drop set, and the sealed wire is swapped into a front buffer that
-//     receivers iterate next round via stream_inbox() / RoundIo::
-//     for_each_in(). A receiver's cost is O(groups + its multicast
-//     entries), so an n-broadcast round costs O(n) per receiver *total* —
-//     no n² inbox buffer ever exists, which is what makes full-information
-//     protocols at n = 65536 fit in memory. A round whose wire is entirely
-//     kList multicasts (graph-restricted machines: every send walks a CSR
-//     adjacency list) skips the group walk and replays only the
-//     per-receiver multicast index — O(Δ) per receiver, not O(groups).
-//     The multicast index build itself shards by receiver range on the
-//     pool. Streamed delivery produces the same Metrics as materialized
-//     delivery; it does not support tracing or inbox() spans (the engine
-//     enforces both).
+// One delivery path, deliver(): accounting is aggregate (sealed message
+// count, cached wire bits, drop popcount — identical totals to a
+// per-message walk); trace emission walks the groups in logical-index
+// order, reproducing the legacy per-record stream bit-for-bit. Then the
+// sealed wire is swapped into a front buffer that receivers read next
+// round through inbox(p), a forward range (Inbox<P>) in global send order.
+// Nothing is materialized per message of a broadcast: each round lists
+// its broadcast groups once, and a receiver's walk tests O(1) membership
+// per group, so an n-broadcast round costs O(n) per receiver and no n²
+// inbox buffer ever exists — which is what makes full-information
+// protocols at n = 16384 fit in memory. Unicast and multicast messages
+// (Algorithms 2–3's traffic, gossip) are indexed per receiver by a
+// counting sort that shards by receiver range on the pool, so a receiver
+// of a graph-restricted round pays O(degree). Index entries carry sender
+// and payload pointer; no payload is ever copied.
 //
 // The adversary phase gets sharded helpers too: visit_index_range() walks
 // any slice of the logical index space without the locate() cursor, and
@@ -70,17 +52,18 @@
 // All buffers have round-persistent capacity: after warm-up, a round
 // allocates only whatever the payloads themselves allocate internally.
 // A round's payloads live until the round after next begins: one round on
-// the wire, one round in the receivers' inboxes (or streamed front buffer).
+// the wire, one round in the receivers' inboxes (the front buffer).
 #pragma once
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <new>
+#include <iterator>
+#include <ranges>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -295,6 +278,122 @@ class SendLog {
   std::vector<P> payloads_;
 };
 
+/// The messages one receiver got in the last delivered round: a forward
+/// range of Message<P>{from, to, payload} in global send order, read
+/// straight off the delivered wire (MessagePlane::inbox / RoundIo::inbox).
+/// Two sorted streams are merged by logical index: the round's broadcast
+/// groups, each of which reaches the receiver at most once, and the
+/// receiver's own index of surviving unicast and multicast messages. A
+/// full walk costs O(broadcast groups + own entries), so an all-to-all
+/// round costs O(n) per receiver and never materializes n² entries, and a
+/// graph-restricted round costs O(degree). Payloads are references into
+/// the wire, valid until the receiver's next round ends.
+template <class P>
+class Inbox : public std::ranges::view_interface<Inbox<P>> {
+ public:
+  /// A surviving unicast or multicast message, indexed under its receiver.
+  /// Send calls occupy disjoint, ascending logical-index ranges, so the
+  /// ordinal of the call (`group`) orders messages like their indices.
+  struct Listed {
+    const P* payload;
+    ProcessId from;
+    std::uint32_t group;
+  };
+
+  /// A broadcast send call; receiver q's copy has logical index
+  /// base + q (self) or base + (q < from ? q : q - 1) (no self).
+  struct Broadcast {
+    std::uint64_t base;
+    const P* payload;
+    ProcessId from;
+    std::uint32_t group;
+    bool self;
+  };
+
+  class iterator {
+   public:
+    using value_type = Message<P>;
+    using difference_type = std::ptrdiff_t;
+    using iterator_concept = std::forward_iterator_tag;
+
+    iterator() = default;
+
+    /// Positioned at `to`'s first message at or after the heads k and b;
+    /// `drops` is null when the round omitted nothing.
+    iterator(ProcessId to, const Listed* k, const Listed* k_end,
+             const Broadcast* b, const Broadcast* b_end, const DropSet* drops)
+        : k_(k), k_end_(k_end), b_(b), b_end_(b_end), drops_(drops), to_(to) {
+      settle();
+      pick();
+    }
+
+    Message<P> operator*() const {
+      if (listed_) return Message<P>{k_->from, to_, std::cref(*k_->payload)};
+      return Message<P>{b_->from, to_, std::cref(*b_->payload)};
+    }
+
+    iterator& operator++() {
+      if (listed_) {
+        ++k_;
+      } else {
+        ++b_;
+        settle();
+      }
+      pick();
+      return *this;
+    }
+
+    iterator operator++(int) {
+      iterator old = *this;
+      ++*this;
+      return old;
+    }
+
+    bool operator==(const iterator& o) const {
+      return k_ == o.k_ && b_ == o.b_;
+    }
+
+   private:
+    /// Skip broadcast groups that do not reach this receiver: its own
+    /// broadcast without self-delivery, or an omitted copy.
+    void settle() {
+      for (; b_ != b_end_; ++b_) {
+        const Broadcast& g = *b_;
+        if (!g.self && g.from == to_) continue;
+        if (drops_ != nullptr) {
+          const std::uint64_t idx =
+              g.base + (g.self || to_ < g.from ? to_ : to_ - 1u);
+          if (drops_->test(static_cast<std::size_t>(idx))) continue;
+        }
+        b_group_ = g.group;
+        return;
+      }
+      b_group_ = UINT32_MAX;  // no broadcast left: never ahead of k_
+    }
+
+    /// The next message comes from the head with the lower logical index.
+    void pick() { listed_ = k_ != k_end_ && k_->group < b_group_; }
+
+    const Listed* k_ = nullptr;
+    const Listed* k_end_ = nullptr;
+    const Broadcast* b_ = nullptr;
+    const Broadcast* b_end_ = nullptr;
+    const DropSet* drops_ = nullptr;
+    ProcessId to_ = 0;
+    std::uint32_t b_group_ = UINT32_MAX;  // b_'s send-call ordinal
+    bool listed_ = false;  // the next message is *k_ (else *b_)
+  };
+
+  Inbox(iterator first, iterator last) : first_(first), last_(last) {}
+
+  iterator begin() const { return first_; }
+  iterator end() const { return last_; }
+
+ private:
+  iterator first_;
+  iterator last_;
+};
+
 template <class P>
 class MessagePlane {
  public:
@@ -314,7 +413,7 @@ class MessagePlane {
   };
 
   explicit MessagePlane(std::uint32_t n)
-      : n_(n), log_(n), front_log_(n), inbox_offsets_(n + 1, 0) {
+      : n_(n), log_(n), front_log_(n), front_offsets_(n + 1, 0) {
     segs_.push_back(&log_);
   }
 
@@ -327,7 +426,7 @@ class MessagePlane {
 
   /// Start a round's send phase. Clears the wire's own segment (capacity
   /// persists) and detaches any stitched shard segments; the previous
-  /// round's delivered inboxes (or streamed front buffer) stay readable.
+  /// round's delivered inboxes stay readable.
   /// The round number stamps failure messages and guards against
   /// wrong-round injection.
   void begin_round(std::uint32_t round = 0) {
@@ -365,8 +464,7 @@ class MessagePlane {
   /// its processes in ascending id order, so segment concatenation *is* id
   /// order and the logical message sequence matches a serial round exactly.
   /// Nothing is copied; the shard logs must stay untouched until the
-  /// round's delivery completes (streamed mode: until the *next* round's
-  /// delivery swaps them out of the front buffer).
+  /// *next* round's delivery swaps them out of the front buffer.
   void stitch(std::span<SendLog<P>* const> shards) {
     for (SendLog<P>* s : shards) {
       OMX_CHECK(s->n_ == n_,
@@ -407,7 +505,6 @@ class MessagePlane {
   void seal() {
     wire_.clear();
     payload_bits_.clear();
-    non_list_groups_ = 0;
     std::uint64_t base = 0;
     std::uint32_t pbase = 0;
     for (const SendLog<P>* s : segs_) {
@@ -419,7 +516,6 @@ class MessagePlane {
                                   s->payloads_.data() + g.payload, recs,
                                   g.from, pbase + g.payload, g.a, g.b,
                                   g.kind});
-        if (g.kind != SendLog<P>::Kind::kList) ++non_list_groups_;
       }
       for (const P& p : s->payloads_) payload_bits_.push_back(bit_size(p));
       base += s->total_;
@@ -501,16 +597,22 @@ class MessagePlane {
 
   // --- delivery (communication phase) ---
 
-  /// Materialized delivery. Account every logical message (sent-but-omitted
-  /// still costs bits: the sender spent them), then counting-sort the
-  /// survivors into the inbox buffer as references to their wire payloads.
-  /// Stable: each inbox sees its messages in global send order, exactly as
-  /// the per-receiver push_back delivery did. With a trace sink, emits one
-  /// kSend per logical message (and a kDrop after each omitted one) in wire
-  /// order — the canonical order segment stitching already guarantees, so
-  /// traced streams are bit-identical across thread counts. With a pool,
-  /// the count and scatter passes shard by destination range
-  /// (bit-identical result; traced runs stay serial).
+  /// Deliver the sealed wire. Account every logical message (sent-but-
+  /// omitted still costs bits: the sender spent them): sealed count, cached
+  /// wire bits and drop popcount — identical totals to a per-message walk.
+  /// With a trace sink, emits one kSend per logical message (and a kDrop
+  /// after each omitted one) in wire order — the canonical order segment
+  /// stitching already guarantees, so traced streams are bit-identical
+  /// across thread counts.
+  ///
+  /// Then the wire becomes the front buffer that inbox() reads during the
+  /// next round: broadcast groups are listed once per round, and every
+  /// surviving unicast and multicast message is indexed per receiver
+  /// (counting sort in logical-index order). With a pool, the index build
+  /// shards by receiver range — each lane counts and scatters only
+  /// receivers in [n·w/L, n·(w+1)/L), so the index is bit-identical to the
+  /// serial build at every lane count. No payload is copied: index entries
+  /// and broadcast groups point at payloads on the sealed wire.
   void deliver(Metrics& m, trace::TraceWriter* trace = nullptr,
                support::ThreadPool* pool = nullptr, unsigned lanes = 1) {
     check_sealed();
@@ -535,167 +637,93 @@ class MessagePlane {
       }
     }
 
+    broadcasts_.clear();
+    std::size_t indexed = 0;
+    for (std::uint32_t gi = 0; gi < wire_.size(); ++gi) {
+      const WireGroup& g = wire_[gi];
+      if (g.kind == SendLog<P>::Kind::kBroadcast ||
+          g.kind == SendLog<P>::Kind::kBroadcastSelf) {
+        broadcasts_.push_back(Broadcast{
+            g.base, g.payload, g.from, gi,
+            g.kind == SendLog<P>::Kind::kBroadcastSelf});
+      } else {
+        indexed += fanout(g);
+      }
+    }
+    const bool any_dropped = dropped != 0;
     counts_.assign(n_, 0);
     const bool par = pool != nullptr && lanes > 1 && n_ >= lanes &&
-                     sealed_ >= kParallelGrain;
-    if (par) {
-      pool->run([&](unsigned w) {
-        count_range(dest_lo(w, lanes), dest_lo(w + 1, lanes));
-      });
-    } else {
-      count_range(0, n_);
-    }
-    build_offsets();
-    staging_.reserve(sealed_ - dropped);
-    if (par) {
-      pool->run([&](unsigned w) {
-        scatter_range(dest_lo(w, lanes), dest_lo(w + 1, lanes));
-      });
-    } else {
-      scatter_range(0, n_);
-    }
-    inbox_store_.swap(staging_);
-    inbox_offsets_.swap(scratch_offsets_);
-    // The inboxes reference the sealed wire: keep the own log's payloads
-    // alive while log_ collects the next round (stitched shard arenas stay
-    // in place; the engine double-banks them).
-    std::swap(log_, front_log_);
-  }
-
-  /// Streamed delivery: aggregate accounting (identical Metrics totals to
-  /// deliver()), no inbox materialization. The sealed wire is swapped into
-  /// the front buffer that stream_inbox() iterates next round; per-receiver
-  /// multicast entries are indexed once (counting sort over kList groups,
-  /// sharded by receiver range when a pool is given) so a receiver's walk
-  /// cost is O(groups + its own multicast entries) — or O(its own entries)
-  /// when the whole wire is multicasts. Tracing is not supported in this
-  /// mode (the engine routes traced runs through deliver()).
-  void deliver_streamed(Metrics& m, support::ThreadPool* pool = nullptr,
-                        unsigned lanes = 1) {
-    check_sealed();
-    streamed_mode_ = true;
-    m.messages += sealed_;
-    m.comm_bits += wire_bits_;
-    const std::size_t dropped = drops_.count();
-    m.omitted += dropped;
-
-    // Per-receiver index of kList logical messages, ascending by logical
-    // index within each receiver (counting sort in group order).
-    std::size_t list_total = 0;
-    for (const WireGroup& g : wire_) {
-      if (g.kind == SendLog<P>::Kind::kList) list_total += g.b;
-    }
-    counts_.assign(n_, 0);
-    const bool par = pool != nullptr && lanes > 1 && n_ >= lanes &&
-                     list_total >= kParallelGrain;
-    if (par) {
-      pool->run([&](unsigned w) {
-        list_count_range(dest_lo(w, lanes), dest_lo(w + 1, lanes));
-      });
-    } else {
-      list_count_range(0, n_);
-    }
-    listed_offsets_.resize(n_ + 1);
-    listed_offsets_[0] = 0;
+                     indexed >= kParallelGrain;
+    const auto count = [&](ProcessId lo, ProcessId hi) {
+      visit_indexed(lo, hi, any_dropped,
+                    [&](ProcessId q, std::uint32_t) { ++counts_[q]; });
+    };
+    const auto scatter = [&](ProcessId lo, ProcessId hi) {
+      visit_indexed(lo, hi, any_dropped,
+                    [&](ProcessId q, std::uint32_t gi) {
+                      listed_[counts_[q]++] =
+                          Listed{wire_[gi].payload, wire_[gi].from, gi};
+                    });
+    };
+    const auto by_receiver_range = [&](const auto& pass) {
+      if (par) {
+        pool->run([&](unsigned w) {
+          pass(dest_lo(w, lanes), dest_lo(w + 1, lanes));
+        });
+      } else {
+        pass(0, n_);
+      }
+    };
+    by_receiver_range(count);
+    offsets_.resize(n_ + 1);
+    offsets_[0] = 0;
     for (std::uint32_t p = 0; p < n_; ++p) {
-      listed_offsets_[p + 1] = listed_offsets_[p] + counts_[p];
-      counts_[p] = listed_offsets_[p];  // reuse as scatter cursors
+      offsets_[p + 1] = offsets_[p] + counts_[p];
+      counts_[p] = offsets_[p];  // reuse as scatter cursors
     }
-    listed_.resize(list_total);
-    if (par) {
-      pool->run([&](unsigned w) {
-        list_scatter_range(dest_lo(w, lanes), dest_lo(w + 1, lanes));
-      });
-    } else {
-      list_scatter_range(0, n_);
-    }
+    listed_.resize(offsets_[n_]);
+    by_receiver_range(scatter);
 
-    // Swap the sealed wire into the front buffer. The wire index's payload
-    // and receiver pointers chase heap buffers, so swapping the own log's
-    // *contents* (and leaving stitched shard arenas in place — the engine
-    // double-banks them) keeps every pointer valid while log_ is reused
-    // for the next round.
+    // Swap the delivered wire into the front buffer. Payload pointers chase
+    // heap buffers, so swapping the own log's *contents* (and leaving
+    // stitched shard arenas in place — the engine double-banks them) keeps
+    // every pointer valid while log_ collects the next round.
     std::swap(log_, front_log_);
-    wire_.swap(front_wire_);
     std::swap(drops_, front_drops_);
-    // In a fault-free round the per-message drop test is pure overhead —
+    // In a fault-free round the per-broadcast drop test is pure overhead —
     // and an expensive one: the indices a receiver probes are spread over
     // an n^2-bit set (33 MB at n=16384), so every test is a cache miss.
-    // One flag turns all of them into a register compare.
-    front_drops_any_ = dropped != 0;
-    front_only_lists_ = non_list_groups_ == 0;
+    front_drops_any_ = any_dropped;
+    broadcasts_.swap(front_broadcasts_);
     listed_.swap(front_listed_);
-    listed_offsets_.swap(front_listed_offsets_);
-    front_valid_ = true;
+    offsets_.swap(front_offsets_);
   }
 
-  /// Messages delivered to p by the most recent deliver() call.
-  std::span<const Message<P>> inbox(ProcessId p) const {
-    OMX_CHECK(!streamed_mode_,
-              "inbox() is unavailable after streamed delivery — this "
-              "machine requires materialized delivery "
-              "(Runner Options::delivery)");
-    return std::span<const Message<P>>(
-        inbox_store_.data + inbox_offsets_[p],
-        inbox_offsets_[p + 1] - inbox_offsets_[p]);
-  }
-
-  /// Visit every message delivered to p by the most recent
-  /// deliver_streamed() call, in global send order: fn(from, payload).
-  /// Broadcast/unicast membership is O(1) per group; kList entries come
-  /// from the per-receiver index, merged by logical index — and when the
-  /// whole front wire is kList groups (graph-restricted machines), the
-  /// group walk is skipped entirely and the cost is O(p's own entries).
-  template <class Fn>
-  void stream_inbox(ProcessId p, Fn&& fn) const {
-    if (!front_valid_) return;  // round 0: nothing delivered yet
-    std::size_t k = front_listed_offsets_.empty() ? 0
-                                                  : front_listed_offsets_[p];
-    const std::size_t k_end =
-        front_listed_offsets_.empty() ? 0 : front_listed_offsets_[p + 1];
-    if (front_only_lists_) {
-      for (; k < k_end; ++k) emit_listed(front_listed_[k], fn);
-      return;
-    }
-    for (const WireGroup& g : front_wire_) {
-      while (k < k_end && front_listed_[k].idx < g.base) {
-        emit_listed(front_listed_[k], fn);
-        ++k;
-      }
-      std::uint64_t idx;
-      switch (g.kind) {
-        case SendLog<P>::Kind::kUnicast:
-          if (g.a != p) continue;
-          idx = g.base;
-          break;
-        case SendLog<P>::Kind::kBroadcast:
-          if (p == g.from) continue;
-          idx = g.base + (p < g.from ? p : p - 1u);
-          break;
-        case SendLog<P>::Kind::kBroadcastSelf:
-          idx = g.base + p;
-          break;
-        case SendLog<P>::Kind::kList:
-          continue;  // covered by the per-receiver index
-      }
-      if (!front_drops_any_ ||
-          !front_drops_.test(static_cast<std::size_t>(idx))) {
-        fn(g.from, *g.payload);
-      }
-    }
-    while (k < k_end) {
-      emit_listed(front_listed_[k], fn);
-      ++k;
-    }
+  /// Messages delivered to p by the most recent deliver(), in global send
+  /// order; empty before the first delivery. Cost of a full walk:
+  /// O(broadcast groups of the round + p's own unicast/multicast entries).
+  /// Valid until the next deliver().
+  Inbox<P> inbox(ProcessId p) const {
+    using It = typename Inbox<P>::iterator;
+    const Listed* k = front_listed_.data() + front_offsets_[p];
+    const Listed* k_end = front_listed_.data() + front_offsets_[p + 1];
+    const Broadcast* b = front_broadcasts_.data();
+    const Broadcast* b_end = b + front_broadcasts_.size();
+    const DropSet* drops = front_drops_any_ ? &front_drops_ : nullptr;
+    return Inbox<P>(It(p, k, k_end, b, b_end, drops),
+                    It(p, k_end, k_end, b_end, b_end, drops));
   }
 
  private:
+  using Listed = typename Inbox<P>::Listed;
+  using Broadcast = typename Inbox<P>::Broadcast;
+
   /// One send call on the sealed wire: its group metadata flattened across
   /// segments — global logical base, global payload slot (bit-size cache),
   /// and direct pointers to its payload and (kList) receiver list inside
   /// the owning segment. Pointers stay valid from seal() until the owning
   /// log is next cleared, which is what lets the front buffer outlive the
-  /// swap in deliver_streamed().
+  /// swap in deliver().
   struct WireGroup {
     std::uint64_t base;
     const P* payload;
@@ -705,11 +733,6 @@ class MessagePlane {
     std::uint32_t a;        // receiver (kUnicast)
     std::uint32_t b;        // list length (kList)
     typename SendLog<P>::Kind kind;
-  };
-
-  struct ListedEntry {
-    std::uint64_t idx;    // logical index (drop lookup + ordering)
-    std::uint32_t group;  // ordinal into the (front) wire index
   };
 
   std::uint32_t fanout(const WireGroup& g) const {
@@ -756,124 +779,26 @@ class MessagePlane {
     }
   }
 
-  /// Tally surviving messages per receiver, restricted to receivers in
-  /// [lo, hi) — lanes on disjoint ranges touch disjoint counts_ slots.
-  void count_range(ProcessId lo, ProcessId hi) {
-    for (const WireGroup& g : wire_) {
-      switch (g.kind) {
-        case SendLog<P>::Kind::kUnicast: {
-          const auto q = static_cast<ProcessId>(g.a);
-          if (q >= lo && q < hi &&
-              !drops_.test(static_cast<std::size_t>(g.base))) {
-            ++counts_[q];
-          }
-          break;
-        }
-        case SendLog<P>::Kind::kBroadcast:
-          for (ProcessId q = lo; q < hi; ++q) {
-            if (q == g.from) continue;
-            const std::uint64_t i = g.base + (q < g.from ? q : q - 1u);
-            if (!drops_.test(static_cast<std::size_t>(i))) ++counts_[q];
-          }
-          break;
-        case SendLog<P>::Kind::kBroadcastSelf:
-          for (ProcessId q = lo; q < hi; ++q) {
-            if (!drops_.test(static_cast<std::size_t>(g.base + q))) {
-              ++counts_[q];
-            }
-          }
-          break;
-        case SendLog<P>::Kind::kList:
-          for (std::uint32_t r = 0; r < g.b; ++r) {
-            const ProcessId q = g.recs[r];
-            if (q >= lo && q < hi &&
-                !drops_.test(static_cast<std::size_t>(g.base + r))) {
-              ++counts_[q];
-            }
-          }
-          break;
-      }
-    }
-  }
-
-  /// Turn counts into inbox offsets and scatter cursors.
-  void build_offsets() {
-    scratch_offsets_.resize(n_ + 1);
-    scratch_offsets_[0] = 0;
-    for (std::uint32_t p = 0; p < n_; ++p) {
-      scratch_offsets_[p + 1] = scratch_offsets_[p] + counts_[p];
-      counts_[p] = scratch_offsets_[p];  // reuse as scatter cursors
-    }
-  }
-
-  /// Scatter the survivors addressed to [lo, hi) into the staging buffer
-  /// through the per-receiver cursors. Stable: the wire index is walked in
-  /// global send order, so for a fixed receiver the cursor advances in
-  /// send order — identical inboxes at every lane count. A slot records a
-  /// reference to the wire payload, never a copy: a broadcast payload is
-  /// shared, read-only, by all its receivers, possibly on different lanes.
-  void scatter_range(ProcessId lo, ProcessId hi) {
-    for (const WireGroup& g : wire_) {
-      const std::uint32_t fan = fanout(g);
-      std::uint32_t r0 = 0;
-      std::uint32_t r1 = fan;
-      // Broadcast ranks map 1:1 onto ascending receivers; clip the rank
-      // window instead of scanning all n receivers per lane.
-      if (g.kind == SendLog<P>::Kind::kBroadcast ||
-          g.kind == SendLog<P>::Kind::kBroadcastSelf) {
-        const std::uint32_t skip =
-            g.kind == SendLog<P>::Kind::kBroadcast ? 1u : 0u;
-        r0 = lo <= g.from || skip == 0 ? lo : lo - skip;
-        r1 = std::min<std::uint32_t>(
-            fan, hi <= g.from || skip == 0 ? hi : hi - skip);
-      }
-      for (std::uint32_t r = r0; r < r1; ++r) {
-        const ProcessId to = receiver_of(g, r);
-        if (to < lo || to >= hi) continue;
-        const std::uint64_t i = g.base + r;
-        if (drops_.test(static_cast<std::size_t>(i))) continue;
-        ::new (static_cast<void*>(staging_.data + counts_[to]++))
-            Message<P>{g.from, to, std::cref(*g.payload)};
-      }
-    }
-  }
-
-  /// Count kList entries addressed to [lo, hi) (streamed-mode index build).
-  void list_count_range(ProcessId lo, ProcessId hi) {
-    for (const WireGroup& g : wire_) {
-      if (g.kind != SendLog<P>::Kind::kList) continue;
-      for (std::uint32_t r = 0; r < g.b; ++r) {
-        const ProcessId q = g.recs[r];
-        if (q >= lo && q < hi) ++counts_[q];
-      }
-    }
-  }
-
-  /// Scatter kList entries addressed to [lo, hi) into the per-receiver
-  /// multicast index (group order == ascending logical index per receiver).
-  void list_scatter_range(ProcessId lo, ProcessId hi) {
-    std::uint32_t gi = 0;
-    for (const WireGroup& g : wire_) {
-      if (g.kind == SendLog<P>::Kind::kList) {
+  /// Visit every surviving unicast and multicast message addressed to a
+  /// receiver in [lo, hi), in logical-index order: fn(to, group ordinal).
+  /// Lanes on disjoint ranges touch disjoint receivers.
+  template <class Fn>
+  void visit_indexed(ProcessId lo, ProcessId hi, bool any_dropped,
+                     Fn&& fn) const {
+    const auto survives = [&](std::uint64_t i) {
+      return !any_dropped || !drops_.test(static_cast<std::size_t>(i));
+    };
+    for (std::uint32_t gi = 0; gi < wire_.size(); ++gi) {
+      const WireGroup& g = wire_[gi];
+      if (g.kind == SendLog<P>::Kind::kUnicast) {
+        if (g.a >= lo && g.a < hi && survives(g.base)) fn(g.a, gi);
+      } else if (g.kind == SendLog<P>::Kind::kList) {
         for (std::uint32_t r = 0; r < g.b; ++r) {
           const ProcessId q = g.recs[r];
-          if (q >= lo && q < hi) {
-            listed_[counts_[q]++] = ListedEntry{g.base + r, gi};
-          }
+          if (q >= lo && q < hi && survives(g.base + r)) fn(q, gi);
         }
       }
-      ++gi;
     }
-  }
-
-  template <class Fn>
-  void emit_listed(const ListedEntry& e, Fn& fn) const {
-    if (front_drops_any_ &&
-        front_drops_.test(static_cast<std::size_t>(e.idx))) {
-      return;
-    }
-    const WireGroup& g = front_wire_[e.group];
-    fn(g.from, *g.payload);
   }
 
   /// Wire-index group covering logical index i (valid after seal()).
@@ -903,63 +828,25 @@ class MessagePlane {
   DropSet drops_;
   std::size_t sealed_ = 0;          // wire size recorded at seal()
   std::uint64_t wire_bits_ = 0;     // total bits on the wire, cached at seal()
-  std::size_t non_list_groups_ = 0;
   mutable std::size_t hint_ = 0;    // sequential-access cursor for locate()
 
-  // Front buffer: last round's own-log contents, swapped out of the way of
-  // the next round so delivered inboxes (or the streamed front wire) can
-  // keep referencing them. The rest is streamed mode's: last round's sealed
-  // wire index, readable while the next round's sends accumulate.
+  // Front buffer: the last delivered round, readable through inbox() while
+  // the next round's sends accumulate — the own log's contents (swapped
+  // out of log_'s way), its drop set, broadcast groups and per-receiver
+  // index.
   SendLog<P> front_log_;
-  std::vector<WireGroup> front_wire_;
   DropSet front_drops_;
   bool front_drops_any_ = false;
-  bool front_only_lists_ = false;
-  std::vector<ListedEntry> front_listed_;
-  std::vector<std::size_t> front_listed_offsets_;
-  bool front_valid_ = false;
-  bool streamed_mode_ = false;
+  std::vector<Broadcast> front_broadcasts_;
+  std::vector<Listed> front_listed_;
+  std::vector<std::size_t> front_offsets_;
 
-  // Delivery scratch + double-buffered inboxes (all capacity-persistent).
+  // deliver() scratch (all capacity-persistent).
   std::vector<std::uint64_t> payload_bits_;  // per payload slot, at seal()
   std::vector<std::size_t> counts_;
-  std::vector<std::size_t> scratch_offsets_;
-  std::vector<ListedEntry> listed_;
-  std::vector<std::size_t> listed_offsets_;
-  /// Inbox storage: raw memory for trivially copyable messages. Growing
-  /// allocates untouched memory and scatter_range() writes each slot on
-  /// the lane that owns it, so the page faults of a grown buffer are taken
-  /// by all lanes instead of serially by one thread before the scatter.
-  static_assert(std::is_trivially_copyable_v<Message<P>> &&
-                    std::is_trivially_destructible_v<Message<P>>,
-                "inbox slots are raw memory, never destroyed");
-  struct Slots {
-    Message<P>* data = nullptr;
-    std::size_t cap = 0;
-
-    Slots() = default;
-    Slots(const Slots&) = delete;
-    Slots& operator=(const Slots&) = delete;
-    ~Slots() { ::operator delete(static_cast<void*>(data)); }
-
-    void swap(Slots& o) noexcept {
-      std::swap(data, o.data);
-      std::swap(cap, o.cap);
-    }
-
-    /// Room for n slots; the contents are dropped when the buffer grows.
-    void reserve(std::size_t n) {
-      if (n <= cap) return;
-      const std::size_t grown = std::max(n, cap + cap / 2);
-      ::operator delete(static_cast<void*>(data));
-      data = static_cast<Message<P>*>(
-          ::operator new(grown * sizeof(Message<P>)));
-      cap = grown;
-    }
-  };
-  Slots staging_;
-  Slots inbox_store_;
-  std::vector<std::size_t> inbox_offsets_;
+  std::vector<Broadcast> broadcasts_;
+  std::vector<Listed> listed_;
+  std::vector<std::size_t> offsets_;
   std::vector<std::vector<ScanHit>> scan_scratch_;
 };
 

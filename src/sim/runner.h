@@ -19,14 +19,14 @@
 //
 //   * processes are split into contiguous shards [n*w/k, n*(w+1)/k); worker
 //     w steps its shard in ascending id order into a private staging
-//     SendLog arena, reading only last round's sealed inboxes;
+//     SendLog arena, reading only last round's delivered inboxes;
 //   * staged arenas are stitched onto the plane's wire as segments in shard
 //     order — pointers, not copies — which reconstructs the exact serial
 //     record/payload sequence (concatenating ascending-id shards in shard
 //     order *is* ascending id order) — so the adversary's indexed view, the
 //     drop bitset, and delivery are untouched. Arenas are double-banked by
-//     round parity so a wire being delivered (or held as the streamed front
-//     buffer) is never clobbered by the next round's staging;
+//     round parity so a delivered wire, held as the front buffer the
+//     receivers read, is never clobbered by the next round's staging;
 //   * random draws are billed to per-process racks and reduced at the shard
 //     barrier (Ledger racked phase), making the totals independent of
 //     thread interleaving. A round runs racked only when the ledger proves
@@ -36,9 +36,10 @@
 //     budget-exhaustion points are exactly the serial ones.
 //
 // Phases 2 and 3 shard on the same pool: the adversary context carries the
-// pool for bulk drop scans (sim/adversary.h), and delivery's counting sort
-// shards by destination range (sim/message_plane.h) — all bit-identical to
-// the serial walks.
+// pool for bulk drop scans (sim/adversary.h), and delivery's per-receiver
+// index build shards by receiver range (sim/message_plane.h) — all
+// bit-identical to the serial walks. Delivery has one path for every
+// traffic shape, traced or not, at any n.
 //
 // The run ends when the machine reports finished() or max_rounds elapses
 // (the latter flagged in the result so tests can fail on non-termination).
@@ -122,17 +123,6 @@ class Runner {
     /// so the stream is bit-identical across thread counts. Ignored when
     /// tracing is compiled out (OMX_DISABLE_TRACING).
     trace::TraceWriter* trace = nullptr;
-    /// How phase 3 hands messages to receivers.
-    ///   * kMaterialized (default): counting-sorted inbox spans — what
-    ///     every machine supports, required for tracing.
-    ///   * kStreamed: no inbox buffer is ever built; machines iterate the
-    ///     sealed wire via RoundIo::for_each_in(). Metrics totals are
-    ///     identical to the materialized path. Only machines written
-    ///     against for_each_in() support this; a machine that calls
-    ///     io.inbox() fails loudly. Incompatible with tracing (the
-    ///     constructor rejects the combination).
-    enum class Delivery { kMaterialized, kStreamed };
-    Delivery delivery = Delivery::kMaterialized;
   };
 
   Runner(std::uint32_t n, std::uint32_t fault_budget, rng::Ledger* ledger,
@@ -146,20 +136,16 @@ class Runner {
                 "runner needs a ledger and an adversary");
     OMX_REQUIRE(ledger->num_processes() >= n,
                 "ledger must cover all processes");
-    OMX_REQUIRE(options_.delivery == Options::Delivery::kMaterialized ||
-                    options_.trace == nullptr,
-                "streamed delivery cannot emit per-message traces — run "
-                "traced executions with materialized delivery");
     unsigned lanes = options_.threads == 0
                          ? support::ThreadPool::hardware_threads()
                          : options_.threads;
     if (lanes > n_) lanes = n_ == 0 ? 1 : n_;
     if (lanes > 1) {
       pool_ = std::make_unique<support::ThreadPool>(lanes);
-      // Two banks of staging arenas, alternated by round parity: the wire
-      // holds pointers into the bank it was stitched from until its
-      // delivery completes (streamed mode: until the *next* delivery swaps
-      // the front buffer), so the following round must stage elsewhere.
+      // Two banks of staging arenas, alternated by round parity: the
+      // delivered front buffer holds pointers into the bank it was stitched
+      // from until the *next* delivery swaps it out, so the following round
+      // must stage elsewhere.
       stage_.reserve(2 * std::size_t{lanes});
       for (unsigned i = 0; i < 2 * lanes; ++i) stage_.emplace_back(n_);
       for (unsigned b = 0; b < 2; ++b) {
@@ -221,10 +207,6 @@ class Runner {
     std::vector<char> corrupt_seen;
     if (tracer != nullptr) corrupt_seen.assign(n_, 0);
 
-    const bool streamed = options_.delivery == Options::Delivery::kStreamed;
-    const MessagePlane<P>* const stream = streamed ? &plane : nullptr;
-    const std::span<const Message<P>> no_inbox;
-
     std::uint32_t round = 0;
     for (;;) {
       if (machine.finished()) break;
@@ -262,8 +244,7 @@ class Runner {
           const auto hi =
               static_cast<ProcessId>((std::uint64_t{n_} * (w + 1)) / lanes_);
           for (ProcessId p = lo; p < hi; ++p) {
-            RoundIo<P> io(round, p, streamed ? no_inbox : plane.inbox(p),
-                          &log, &ledger_->source(p), w, stream);
+            RoundIo<P> io(round, p, &plane, &log, &ledger_->source(p), w);
             machine.round(p, io);
           }
         });
@@ -275,8 +256,7 @@ class Runner {
                                   options_.rng_slack_bits);
       } else {
         for (ProcessId p = 0; p < n_; ++p) {
-          RoundIo<P> io(round, p, streamed ? no_inbox : plane.inbox(p),
-                        &plane.log(), &ledger_->source(p), 0, stream);
+          RoundIo<P> io(round, p, &plane, &plane.log(), &ledger_->source(p));
           machine.round(p, io);
         }
       }
@@ -323,11 +303,7 @@ class Runner {
       // Phase 3: delivery + accounting. Sent-but-omitted messages still
       // count toward communication (the sender spent the bits).
       if (stats) t0 = Clock::now();
-      if (streamed) {
-        plane.deliver_streamed(m, pool_.get(), lanes_);
-      } else {
-        plane.deliver(m, tracer, pool_.get(), lanes_);
-      }
+      plane.deliver(m, tracer, pool_.get(), lanes_);
       if (stats) {
         stats->delivery_ns += static_cast<std::uint64_t>(
             std::chrono::nanoseconds(Clock::now() - t0).count());

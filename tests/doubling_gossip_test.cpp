@@ -135,12 +135,11 @@ TEST(DoublingGossip, StarvedVictimsNeverComplete) {
   EXPECT_EQ(run.machine->ones_of(3) + run.machine->zeros_of(3), 1u);
 }
 
-// Streamed delivery against the graph-restricted wire: inquiry rounds are
-// all-kList multicast wires, so the streamed front buffer takes the
-// O(degree)-per-receiver index fast path; response rounds mix in unicasts
-// and walk the groups. Both must reproduce the materialized engine's
-// metrics and final knowledge exactly, serial and pool-sharded alike.
-TEST(DoublingGossip, StreamedMatchesMaterializedAcrossThreadCounts) {
+// The graph-restricted wire: inquiry rounds are all multicasts, so every
+// receiver reads only its own index entries; response rounds mix in
+// unicasts. Pool-sharded runs (sharded index build included) must
+// reproduce the serial run's metrics and final knowledge exactly.
+TEST(DoublingGossip, IdenticalAcrossThreadCounts) {
   const std::uint32_t n = 200;
   const std::uint32_t t = 12;
   struct Snapshot {
@@ -148,7 +147,7 @@ TEST(DoublingGossip, StreamedMatchesMaterializedAcrossThreadCounts) {
     std::vector<std::uint32_t> known;
     std::vector<bool> completed;
   };
-  auto run_one = [&](bool streamed, unsigned threads) {
+  auto run_one = [&](unsigned threads) {
     adversary::RandomOmissionAdversary<core::Msg> adv(n, t, 0.8, 11);
     DoublingConfig cfg;
     cfg.t = t;
@@ -157,9 +156,6 @@ TEST(DoublingGossip, StreamedMatchesMaterializedAcrossThreadCounts) {
     DoublingGossipMachine machine(cfg, inputs);
     sim::Runner<core::Msg>::Options opts;
     opts.threads = threads;
-    if (streamed) {
-      opts.delivery = sim::Runner<core::Msg>::Options::Delivery::kStreamed;
-    }
     sim::Runner<core::Msg> runner(n, t, &ledger, &adv, opts);
     machine.set_fault_view(&runner.faults());
     Snapshot s;
@@ -170,19 +166,17 @@ TEST(DoublingGossip, StreamedMatchesMaterializedAcrossThreadCounts) {
     }
     return s;
   };
-  const Snapshot base = run_one(/*streamed=*/false, /*threads=*/1);
-  for (const unsigned threads : {1u, 4u}) {
-    for (const bool streamed : {false, true}) {
-      SCOPED_TRACE(std::string(streamed ? "streamed" : "materialized") +
-                   " threads=" + std::to_string(threads));
-      const Snapshot got = run_one(streamed, threads);
-      EXPECT_EQ(got.metrics.rounds, base.metrics.rounds);
-      EXPECT_EQ(got.metrics.messages, base.metrics.messages);
-      EXPECT_EQ(got.metrics.comm_bits, base.metrics.comm_bits);
-      EXPECT_EQ(got.metrics.omitted, base.metrics.omitted);
-      EXPECT_EQ(got.known, base.known);
-      EXPECT_EQ(got.completed, base.completed);
-    }
+  const Snapshot base = run_one(/*threads=*/1);
+  EXPECT_GT(base.metrics.omitted, 0u);
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const Snapshot got = run_one(threads);
+    EXPECT_EQ(got.metrics.rounds, base.metrics.rounds);
+    EXPECT_EQ(got.metrics.messages, base.metrics.messages);
+    EXPECT_EQ(got.metrics.comm_bits, base.metrics.comm_bits);
+    EXPECT_EQ(got.metrics.omitted, base.metrics.omitted);
+    EXPECT_EQ(got.known, base.known);
+    EXPECT_EQ(got.completed, base.completed);
   }
 }
 

@@ -1,20 +1,21 @@
 // The parallel delivery substrate (sim/message_plane.h) and the bulk
 // adversary scan APIs (sim/adversary.h): segment stitching reproduces the
-// serial wire exactly, pool-sharded counting-sort delivery yields
-// bit-identical inboxes and metrics, drop_where/scan_messages match the
-// serial scans (including rng draw order), the all-multicast streamed fast
-// path replays the same messages, materialized inboxes (references into
-// the sealed wire) outlive the next round's send phase, and the thread
-// pool's per-lane busy counters actually tick.
+// serial wire exactly, every inbox matches one brute-force oracle (bucket
+// each surviving logical message by receiver, in index order) on every
+// wire shape at every lane count, through the plane and through the
+// Runner, drop_where/scan_messages match the serial scans (including rng
+// draw order), inboxes (references into the delivered wire) outlive the
+// next round's send phase, and the thread pool's per-lane busy counters
+// actually tick.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ranges>
 #include <string>
 #include <tuple>
 #include <type_traits>
 #include <vector>
 
-#include "adversary/strategies.h"
 #include "core/messages.h"
 #include "core/params.h"
 #include "harness/experiment.h"
@@ -37,16 +38,17 @@ struct Pay {
 constexpr std::uint32_t kN = 64;
 constexpr unsigned kLanes = 4;
 
-// Queue a deterministic mixed wire (unicasts + broadcasts + multicasts)
-// through `log`, restricted to senders in [lo, hi). With [0, n) this is
-// exactly the serial round; per-shard ranges stitched in order reproduce it.
+// Queue a deterministic mixed wire (unicasts, broadcasts with and without
+// self-delivery, multicasts skipping the sender) through `log`, restricted
+// to senders in [lo, hi). With [0, n) this is exactly the serial round;
+// per-shard ranges stitched in order reproduce it.
 void queue_sends(SendLog<Pay>& log, std::uint32_t lo, std::uint32_t hi) {
   for (std::uint32_t p = lo; p < hi; ++p) {
     log.broadcast(p, Pay{p}, /*include_self=*/p % 2 == 0);
     log.send(p, (p + 7) % kN, Pay{p * 3 + 1});
     if (p % 3 == 0) {
-      const ProcessId neigh[] = {(p + 1) % kN, (p + 5) % kN, (p + 9) % kN};
-      log.multicast(p, neigh, Pay{p * 5 + 2});
+      const ProcessId neigh[] = {(p + 1) % kN, p, (p + 5) % kN, (p + 9) % kN};
+      log.multicast(p, neigh, Pay{p * 5 + 2}, /*skip=*/p);
     }
   }
 }
@@ -100,34 +102,116 @@ void drop_some(Plane& plane) {
   }
 }
 
-TEST(ParallelDelivery, InboxesAndMetricsMatchSerial) {
-  MessagePlane<Pay> serial(kN);
-  build_serial(serial);
-  drop_some(serial);
-  Metrics ms;
-  serial.deliver(ms);
+// ---------------------------------------------------------------------------
+// The inbox oracle: bucket every surviving logical message by its
+// receiver, in logical-index order. Delivery must hand each receiver
+// exactly its bucket — same senders, same order, and the very payload
+// objects on the wire (compared by address: nothing may be copied).
 
-  support::ThreadPool pool(kLanes);
-  MessagePlane<Pay> par(kN);
-  std::vector<SendLog<Pay>> stage;
-  build_stitched(par, stage);
-  drop_some(par);
-  Metrics mp;
-  par.deliver(mp, nullptr, &pool, kLanes);
+struct Seen {
+  ProcessId from;
+  ProcessId to;
+  const void* payload;
+  bool operator==(const Seen&) const = default;
+};
 
-  EXPECT_EQ(mp.messages, ms.messages);
-  EXPECT_EQ(mp.comm_bits, ms.comm_bits);
-  EXPECT_EQ(mp.omitted, ms.omitted);
-  for (ProcessId p = 0; p < kN; ++p) {
-    const auto a = serial.inbox(p);
-    const auto b = par.inbox(p);
-    ASSERT_EQ(b.size(), a.size()) << "inbox of p" << p;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(b[i].from, a[i].from);
-      EXPECT_EQ(b[i].to, a[i].to);
-      EXPECT_EQ(b[i].payload.get(), a[i].payload.get());
-    }
+/// Brute-force reference over a sealed wire; `View` is a MessagePlane or
+/// an AdversaryContext (same indexed accessors).
+template <class View>
+std::vector<std::vector<Seen>> reference_inboxes(const View& wire,
+                                                 std::uint32_t n) {
+  std::vector<std::vector<Seen>> ref(n);
+  for (std::size_t i = 0; i < wire.num_messages(); ++i) {
+    if (wire.dropped(i)) continue;
+    ref[wire.to(i)].push_back(Seen{wire.from(i), wire.to(i), &wire.payload(i)});
   }
+  return ref;
+}
+
+template <class P>
+std::vector<Seen> seen(const Inbox<P>& inbox) {
+  std::vector<Seen> got;
+  for (const Message<P>& msg : inbox) {
+    got.push_back(Seen{msg.from, msg.to, &msg.payload.get()});
+  }
+  return got;
+}
+
+static_assert(std::ranges::forward_range<Inbox<Pay>>);
+static_assert(std::is_trivially_copyable_v<Message<core::Msg>>);
+static_assert(sizeof(Message<core::Msg>) == 16);
+
+/// Deliver a sealed wire at `lanes` (1 = no pool) and check every inbox
+/// and the accounting against the oracle.
+void expect_oracle_inboxes(MessagePlane<Pay>& plane, unsigned lanes) {
+  const auto ref = reference_inboxes(plane, kN);
+  const std::size_t total = plane.num_messages();
+  const std::size_t dropped = plane.num_dropped();
+  const std::uint64_t bits = plane.wire_bits();
+  support::ThreadPool pool(lanes);
+  Metrics m;
+  plane.deliver(m, nullptr, lanes > 1 ? &pool : nullptr, lanes);
+  EXPECT_EQ(m.messages, total);
+  EXPECT_EQ(m.omitted, dropped);
+  EXPECT_EQ(m.comm_bits, bits);
+  for (ProcessId p = 0; p < kN; ++p) {
+    EXPECT_EQ(seen(plane.inbox(p)), ref[p]) << "inbox of p" << p;
+  }
+}
+
+TEST(InboxOracle, MixedWireAtEveryLaneCount) {
+  for (const unsigned lanes : {1u, 2u, 4u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    MessagePlane<Pay> serial(kN);
+    build_serial(serial);
+    drop_some(serial);
+    expect_oracle_inboxes(serial, lanes);
+
+    MessagePlane<Pay> stitched(kN);
+    std::vector<SendLog<Pay>> stage;
+    build_stitched(stitched, stage);
+    drop_some(stitched);
+    expect_oracle_inboxes(stitched, lanes);
+  }
+}
+
+TEST(InboxOracle, MulticastOnlyWireAtEveryLaneCount) {
+  // A graph-restricted machine's wire: no broadcast group to merge, every
+  // message comes from the receiver's own index.
+  for (const unsigned lanes : {1u, 2u, 4u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    MessagePlane<Pay> plane(kN);
+    plane.begin_round(0);
+    for (std::uint32_t p = 0; p < kN; ++p) {
+      std::vector<ProcessId> neigh;
+      for (std::uint32_t d = 1; d <= 20; ++d) neigh.push_back((p + d) % kN);
+      plane.multicast(p, neigh, Pay{p});
+    }
+    plane.seal();
+    drop_some(plane);
+    expect_oracle_inboxes(plane, lanes);
+  }
+}
+
+TEST(InboxOracle, BroadcastOnlyWireWithoutDrops) {
+  // The all-to-all round of a fault-free flood: the receivers' index is
+  // empty and no drop bit is consulted.
+  MessagePlane<Pay> plane(kN);
+  plane.begin_round(0);
+  for (std::uint32_t p = 0; p < kN; ++p) {
+    plane.broadcast(p, Pay{p}, /*include_self=*/p % 3 == 0);
+  }
+  plane.seal();
+  expect_oracle_inboxes(plane, 1);
+  const Inbox<Pay> inbox = plane.inbox(0);
+  ASSERT_FALSE(inbox.empty());
+  EXPECT_EQ(inbox.front().from, 0u);  // p=0 broadcasts to itself first
+  EXPECT_EQ(std::ranges::distance(inbox), kN);  // every sender reaches 0
+}
+
+TEST(InboxOracle, EmptyBeforeTheFirstDelivery) {
+  MessagePlane<Pay> plane(kN);
+  for (ProcessId p = 0; p < kN; ++p) EXPECT_TRUE(plane.inbox(p).empty());
 }
 
 TEST(BulkAdversary, DropWhereMatchesSerialBitset) {
@@ -207,51 +291,6 @@ TEST(BulkAdversary, ScanMessagesConsumesInAscendingIndexOrder) {
   }
 }
 
-TEST(StreamedDelivery, AllMulticastWireTakesTheListOnlyPathCorrectly) {
-  // Every send is a kList multicast (a graph-restricted machine's wire):
-  // the streamed front buffer takes the O(degree)-per-receiver fast path.
-  // Check against materialized delivery of the identical wire.
-  auto queue = [](MessagePlane<Pay>& plane) {
-    for (std::uint32_t p = 0; p < kN; ++p) {
-      std::vector<ProcessId> neigh;
-      for (std::uint32_t d = 1; d <= 20; ++d) neigh.push_back((p + d) % kN);
-      plane.multicast(p, neigh, Pay{p});
-    }
-  };
-  MessagePlane<Pay> mat(kN);
-  mat.begin_round(0);
-  queue(mat);
-  mat.seal();
-  drop_some(mat);
-  Metrics mm;
-  mat.deliver(mm);
-
-  support::ThreadPool pool(kLanes);
-  MessagePlane<Pay> str(kN);
-  str.begin_round(0);
-  queue(str);
-  str.seal();
-  drop_some(str);
-  Metrics msr;
-  str.deliver_streamed(msr, &pool, kLanes);
-
-  EXPECT_EQ(msr.messages, mm.messages);
-  EXPECT_EQ(msr.comm_bits, mm.comm_bits);
-  EXPECT_EQ(msr.omitted, mm.omitted);
-  for (ProcessId p = 0; p < kN; ++p) {
-    const auto ref = mat.inbox(p);
-    std::vector<std::pair<ProcessId, Pay>> got;
-    str.stream_inbox(p, [&](ProcessId from, const Pay& pay) {
-      got.emplace_back(from, pay);
-    });
-    ASSERT_EQ(got.size(), ref.size()) << "p" << p;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(got[i].first, ref[i].from);
-      EXPECT_EQ(got[i].second, ref[i].payload.get());
-    }
-  }
-}
-
 TEST(ThreadPoolClocks, LaneBusyCountersTick) {
   support::ThreadPool pool(kLanes);
   for (unsigned w = 0; w < kLanes; ++w) {
@@ -287,13 +326,10 @@ TEST(EngineStats, ShardedRoundsBillEveryLane) {
 }
 
 // ---------------------------------------------------------------------------
-// Reference inboxes: an inbox entry points at its payload on the sealed
+// Reference inboxes: an inbox entry points at its payload on the delivered
 // wire, so the wire must stay intact until the receivers' round is over —
 // while the next round's sends reallocate the own log and fill the other
 // bank of shard arenas.
-
-static_assert(std::is_trivially_copyable_v<Message<core::Msg>>);
-static_assert(sizeof(Message<core::Msg>) == 16);
 
 /// p's payload in `round`: a spread message (heap entries) that encodes
 /// (p, round), so a receiver can tell whose and which round's it reads.
@@ -317,20 +353,21 @@ bool is_spread_of(const core::Msg& msg, ProcessId p, std::uint32_t round) {
   return true;
 }
 
-/// Three receivers of p's multicast.
+/// p's multicast list: three receivers and p itself, which the send skips.
 std::vector<ProcessId> list_of(ProcessId p, std::uint32_t n) {
-  return {(p + 2) % n, (p + 3) % n, (p + 5) % n};
+  return {(p + 2) % n, p, (p + 3) % n, (p + 5) % n};
 }
 
-/// Round `round`'s sends of processes [lo, hi): a broadcast, a unicast to
-/// the next process and a multicast, each its own payload.
+/// Round `round`'s sends of processes [lo, hi): a broadcast (with
+/// self-delivery for even senders), a unicast to the next process and a
+/// multicast, each its own payload.
 void queue_spread(SendLog<core::Msg>& log, std::uint32_t lo, std::uint32_t hi,
                   std::uint32_t round) {
   const std::uint32_t n = log.num_processes();
   for (ProcessId p = lo; p < hi; ++p) {
-    log.broadcast(p, spread_of(p, round), /*include_self=*/false);
+    log.broadcast(p, spread_of(p, round), /*include_self=*/p % 2 == 0);
     log.send(p, (p + 1) % n, spread_of(p, round));
-    log.multicast(p, list_of(p, n), spread_of(p, round));
+    log.multicast(p, list_of(p, n), spread_of(p, round), /*skip=*/p);
   }
 }
 
@@ -350,15 +387,10 @@ TEST(ReferenceInboxes, OutliveTheNextRoundsSendPhase) {
   SendLog<core::Msg>* const banked0[] = {&bank0[0], &bank0[1]};
   plane.stitch(banked0);
   plane.seal();
+  drop_some(plane);
+  const auto ref = reference_inboxes(plane, kN);
   Metrics m;
   plane.deliver(m);
-  std::vector<std::vector<ProcessId>> senders(kN);
-  for (ProcessId p = 0; p < kN; ++p) {
-    ASSERT_EQ(plane.inbox(p).size(), kN + 3u) << "p" << p;
-    for (const Message<core::Msg>& msg : plane.inbox(p)) {
-      senders[p].push_back(msg.from);
-    }
-  }
 
   // Round 1: eight times round 0's sends through the own log (its payload
   // vector reallocates), plus the other bank; then seal.
@@ -371,38 +403,57 @@ TEST(ReferenceInboxes, OutliveTheNextRoundsSendPhase) {
   plane.seal();
 
   for (ProcessId p = 0; p < kN; ++p) {
-    const auto inbox = plane.inbox(p);
-    ASSERT_EQ(inbox.size(), senders[p].size()) << "p" << p;
-    for (std::size_t i = 0; i < inbox.size(); ++i) {
-      EXPECT_EQ(inbox[i].from, senders[p][i]);
-      EXPECT_EQ(inbox[i].to, p);
-      EXPECT_TRUE(is_spread_of(inbox[i].payload, inbox[i].from, 0))
-          << "p" << p << " message " << i;
+    EXPECT_EQ(seen(plane.inbox(p)), ref[p]) << "p" << p;
+    for (const Message<core::Msg>& msg : plane.inbox(p)) {
+      EXPECT_TRUE(is_spread_of(msg.payload, msg.from, 0)) << "p" << p;
     }
   }
 }
 
+/// Corrupts processes 1 and 5, omits a pattern of their messages every
+/// round, and records the oracle inboxes of the round it just shaped.
+class OracleAdversary final : public Adversary<core::Msg> {
+ public:
+  void intervene(AdversaryContext<core::Msg>& ctx) override {
+    if (ctx.round() == 0) {
+      ctx.corrupt(1);
+      ctx.corrupt(5);
+    }
+    const std::uint32_t r = ctx.round();
+    ctx.drop_where([r](ProcessId from, ProcessId to) {
+      const bool faulty = from == 1 || from == 5 || to == 1 || to == 5;
+      return faulty && (from + to + r) % 3 == 0;
+    });
+    ref_ = reference_inboxes(ctx, kN);
+  }
+
+  std::vector<std::vector<Seen>> ref_;
+};
+
 /// Every process sends round r's payloads (as queue_spread) and, in round
-/// r+1, checks that its inbox holds exactly round r's payloads addressed
-/// to it, while its own sends of round r+1 go on the wire.
+/// r+1, checks its inbox against the oracle the adversary recorded for
+/// round r, and that every payload is still round r's, while its own sends
+/// of round r+1 go on the wire.
 class SpreadEchoMachine final : public Machine<core::Msg> {
  public:
   static constexpr std::uint32_t kRounds = 6;
+
+  explicit SpreadEchoMachine(const OracleAdversary* oracle)
+      : oracle_(oracle) {}
 
   std::uint32_t num_processes() const override { return kN; }
   void begin_round(std::uint32_t round) override { cur_ = round; }
   void round(ProcessId p, RoundIo<core::Msg>& io) override {
     if (cur_ > 0) {
-      const auto inbox = io.inbox();
-      bad_[p] += inbox.size() != kN + 3u;
-      for (const Message<core::Msg>& msg : inbox) {
-        bad_[p] += msg.to != p || !is_spread_of(msg.payload, msg.from, cur_ - 1);
+      bad_[p] += seen(io.inbox()) != oracle_->ref_[p];
+      for (const Message<core::Msg>& msg : io.inbox()) {
+        bad_[p] += !is_spread_of(msg.payload, msg.from, cur_ - 1);
       }
       checked_[p] += 1;
     }
-    io.send_to_all(spread_of(p, cur_));
+    io.send_to_all(spread_of(p, cur_), /*include_self=*/p % 2 == 0);
     io.send((p + 1) % kN, spread_of(p, cur_));
-    io.send_to(list_of(p, kN), spread_of(p, cur_));
+    io.send_to_except(list_of(p, kN), p, spread_of(p, cur_));
   }
   bool finished() const override { return cur_ + 1 >= kRounds; }
 
@@ -410,21 +461,23 @@ class SpreadEchoMachine final : public Machine<core::Msg> {
   std::vector<std::uint32_t> checked_ = std::vector<std::uint32_t>(kN, 0);
 
  private:
+  const OracleAdversary* oracle_;
   std::uint32_t cur_ = 0;
 };
 
 TEST(ReferenceInboxes, SurviveShardedRoundsThroughRunner) {
   for (const unsigned lanes : {1u, 2u, 4u}) {
     SCOPED_TRACE("lanes=" + std::to_string(lanes));
-    SpreadEchoMachine machine;
+    OracleAdversary oracle;
+    SpreadEchoMachine machine(&oracle);
     rng::Ledger ledger(kN, 1);
-    adversary::NullAdversary<core::Msg> none;
     EngineStats stats;
     Runner<core::Msg>::Options opts;
     opts.threads = lanes;
     opts.stats = &stats;
-    Runner<core::Msg> runner(kN, 0, &ledger, &none, opts);
-    runner.run(machine);
+    Runner<core::Msg> runner(kN, 2, &ledger, &oracle, opts);
+    const Metrics m = runner.run(machine).metrics;
+    EXPECT_GT(m.omitted, 0u);
     EXPECT_EQ(stats.parallel_rounds, lanes > 1 ? stats.rounds : 0u);
     for (ProcessId p = 0; p < kN; ++p) {
       EXPECT_EQ(machine.bad_[p], 0u) << "p" << p;

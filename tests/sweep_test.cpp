@@ -124,9 +124,9 @@ TEST(ConfigHash, IgnoresWorkerLaneCountButNotSeeds) {
 }
 
 // The flood paths lost their pair-list representation and round
-// pipelining, but checkpoints, .repro files and search states written
-// before that must keep their keys. Every key below was printed by the
-// code that still had both.
+// pipelining, and the engine its second delivery mode, but checkpoints,
+// .repro files and search states written before that must keep their
+// keys. Every key below was printed by the code that still had them.
 TEST(ConfigHash, KeysOfEarlierCheckpointsStillMatch) {
   ExperimentConfig flood;
   flood.algo = Algo::FloodSet;
@@ -146,6 +146,15 @@ TEST(ConfigHash, KeysOfEarlierCheckpointsStillMatch) {
   optimal.algo = Algo::Optimal;
   optimal.packed = false;
   EXPECT_EQ(config_key(optimal), "b23c0991a5bc6b4e");
+
+  // streamed=1 selects nothing now, but keeps its keys: these two were
+  // printed by the code that still had two delivery modes (and refused to
+  // run either config).
+  optimal.streamed = true;
+  EXPECT_EQ(config_key(optimal), "d33252e09f973f49");
+  ExperimentConfig param = optimal;
+  param.algo = Algo::Param;
+  EXPECT_EQ(config_key(param), "67f40970e677a80c");
 }
 
 TEST(ConfigSerialization, AcceptsPackedAndRemovedPipelineLines) {

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "adversary/recorder.h"
@@ -271,6 +272,48 @@ TEST(TraceDeterminism, PackedFlagIsInertWhenTracing) {
         (dir / ("on_t" + std::to_string(threads) + ".trace")).string();
     harness::run_experiment(cfg);
     EXPECT_EQ(bytes, slurp(cfg.trace_path));
+  }
+}
+
+// ExperimentConfig::streamed likewise survives only as a checkpoint-key
+// field since every round takes the one delivery path. Optimal and Param
+// (whose runs it used to refuse) and the flood paths must give the same
+// Metrics and trace bytes with the flag on as off, serial and sharded.
+TEST(TraceDeterminism, StreamedFlagIsInertWhenTracing) {
+  const auto fields = [](const sim::Metrics& m) {
+    return std::make_tuple(m.rounds, m.messages, m.comm_bits, m.random_calls,
+                           m.random_bits, m.corrupted, m.omitted);
+  };
+  const fs::path dir = scratch("streamed_flag_traced");
+  for (const harness::Algo algo :
+       {harness::Algo::Optimal, harness::Algo::Param,
+        harness::Algo::FloodSet, harness::Algo::BenOr}) {
+    SCOPED_TRACE(harness::to_string(algo));
+    harness::ExperimentConfig cfg;
+    cfg.algo = algo;
+    cfg.attack = harness::Attack::RandomOmission;
+    cfg.n = 96;
+    cfg.t = core::Params::max_t_optimal(cfg.n);
+    cfg.seed = 4;
+    cfg.trace_path = (dir / "off.trace").string();
+    const harness::ExperimentResult off = harness::run_experiment(cfg);
+    const std::string bytes = slurp(dir / "off.trace");
+    ASSERT_FALSE(bytes.empty());
+    cfg.streamed = true;
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      cfg.threads = threads;
+      cfg.trace_path =
+          (dir / ("on_t" + std::to_string(threads) + ".trace")).string();
+      const harness::ExperimentResult on = harness::run_experiment(cfg);
+      EXPECT_EQ(fields(on.metrics), fields(off.metrics));
+      EXPECT_EQ(on.decision, off.decision);
+      EXPECT_EQ(bytes, slurp(cfg.trace_path));
+    }
+    // Untraced, too: the flag must not change a Metrics field.
+    cfg.trace_path.clear();
+    EXPECT_EQ(fields(harness::run_experiment(cfg).metrics),
+              fields(off.metrics));
   }
 }
 

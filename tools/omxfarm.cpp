@@ -93,7 +93,8 @@ void add_grid_flags(ArgParser* args) {
   args->add_flag("packed",
                  "accepted for checkpoint-key compatibility; flood paths are "
                  "always packed");
-  args->add_flag("streamed", "streamed delivery (floodset/benor)");
+  args->add_flag("streamed",
+                 "accepted for checkpoint-key compatibility; selects nothing");
 }
 
 /// Expand the grid flags into configs, mirroring omxsim's per-n t rule.

@@ -131,8 +131,7 @@ int run_main(int argc, char** argv) {
                 "accepted for checkpoint-key compatibility; flood paths are "
                 "always packed");
   args.add_flag("streamed",
-                "streamed delivery: no inbox materialization (floodset/"
-                "benor); metrics-identical, incompatible with --trace");
+                "accepted for checkpoint-key compatibility; selects nothing");
   args.add_flag("csv", "emit one CSV line per run instead of a table");
 
   if (!args.parse(argc, argv)) {
