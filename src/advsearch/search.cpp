@@ -10,6 +10,7 @@
 
 #include "harness/sweep.h"
 #include "support/check.h"
+#include "support/durable.h"
 
 namespace omx::advsearch {
 
@@ -224,45 +225,36 @@ void Search::run() {
 }
 
 void Search::save_state() const {
-  const std::string tmp = opts_.state_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    OMX_REQUIRE(out.good(),
-                "advsearch: cannot write state file " + tmp);
-    out << "# omxadv search state — resume: omxadv search --state <this>\n";
-    out << "baseline_attack=" << baseline_attack_ << "\n";
-    out << "baseline_rounds=" << baseline_score_.rounds_to_decide << "\n";
-    out << "baseline_rand_bits=" << baseline_score_.rand_bits << "\n";
-    out << "baseline_delivered=" << baseline_score_.delivered << "\n";
-    out << "baseline_all_decided=" << (baseline_score_.all_decided ? 1 : 0)
-        << "\n";
-    out << "best=" << best_.to_string() << "\n";
-    out << "best_rounds=" << best_score_.rounds_to_decide << "\n";
-    out << "best_rand_bits=" << best_score_.rand_bits << "\n";
-    out << "best_delivered=" << best_score_.delivered << "\n";
-    out << "best_all_decided=" << (best_score_.all_decided ? 1 : 0) << "\n";
-    out << "current=" << current_.to_string() << "\n";
-    out << "current_rounds=" << current_score_.rounds_to_decide << "\n";
-    out << "current_rand_bits=" << current_score_.rand_bits << "\n";
-    out << "current_delivered=" << current_score_.delivered << "\n";
-    out << "current_all_decided=" << (current_score_.all_decided ? 1 : 0)
-        << "\n";
-    out << "iter=" << iter_ << "\n";
-    out << "horizon=" << horizon_ << "\n";
-    out << "search_seed=" << opts_.seed << "\n";
-    out << "evaluated=" << stats_.evaluated << "\n";
-    out << "rejected=" << stats_.rejected << "\n";
-    out << "accepted=" << stats_.accepted << "\n";
-    out << "improved=" << stats_.improved << "\n";
-    out << "config:\n";
-    out << harness::serialize_config(base_);
-    OMX_REQUIRE(out.good(),
-                "advsearch: short write to state file " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, opts_.state_path, ec);
-  OMX_REQUIRE(!ec, "advsearch: cannot publish state file " +
-                       opts_.state_path + ": " + ec.message());
+  std::ostringstream out;
+  out << "# omxadv search state — resume: omxadv search --state <this>\n";
+  out << "baseline_attack=" << baseline_attack_ << "\n";
+  out << "baseline_rounds=" << baseline_score_.rounds_to_decide << "\n";
+  out << "baseline_rand_bits=" << baseline_score_.rand_bits << "\n";
+  out << "baseline_delivered=" << baseline_score_.delivered << "\n";
+  out << "baseline_all_decided=" << (baseline_score_.all_decided ? 1 : 0)
+      << "\n";
+  out << "best=" << best_.to_string() << "\n";
+  out << "best_rounds=" << best_score_.rounds_to_decide << "\n";
+  out << "best_rand_bits=" << best_score_.rand_bits << "\n";
+  out << "best_delivered=" << best_score_.delivered << "\n";
+  out << "best_all_decided=" << (best_score_.all_decided ? 1 : 0) << "\n";
+  out << "current=" << current_.to_string() << "\n";
+  out << "current_rounds=" << current_score_.rounds_to_decide << "\n";
+  out << "current_rand_bits=" << current_score_.rand_bits << "\n";
+  out << "current_delivered=" << current_score_.delivered << "\n";
+  out << "current_all_decided=" << (current_score_.all_decided ? 1 : 0)
+      << "\n";
+  out << "iter=" << iter_ << "\n";
+  out << "horizon=" << horizon_ << "\n";
+  out << "search_seed=" << opts_.seed << "\n";
+  out << "evaluated=" << stats_.evaluated << "\n";
+  out << "rejected=" << stats_.rejected << "\n";
+  out << "accepted=" << stats_.accepted << "\n";
+  out << "improved=" << stats_.improved << "\n";
+  out << "config:\n";
+  out << harness::serialize_config(base_);
+  OMX_REQUIRE(publish_atomic(opts_.state_path, out.str()),
+              "advsearch: cannot publish state file " + opts_.state_path);
 }
 
 bool Search::load_state() {

@@ -88,15 +88,11 @@ std::string Farm::endpoint_path_for(const std::string& dir) {
 }
 
 void Farm::resume_from_shards() {
-  // Repair first: a shard whose tail was torn by a killed daemon must not
-  // receive appends after the debris, or the next line would be corrupted.
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(shard_dir(), ec)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".jsonl") {
-      report_.torn_shard_lines += repair_shard(entry.path().string());
-    }
-  }
-  const ShardScan scan = scan_shards(shard_dir());
+  // Repair while scanning: a shard whose tail was torn by a killed daemon
+  // must not receive appends after the debris, or the next line would be
+  // corrupted.
+  const ShardScan scan = scan_shards(shard_dir(), /*repair=*/true);
+  report_.torn_shard_lines += scan.torn_lines;
   for (const auto& [key, line] : scan.lines) {
     if (queue_.mark_done(key)) ++report_.resumed;
   }
@@ -404,12 +400,8 @@ std::string Farm::handle_request(const flat_json::Object& msg,
     return reply({{"type", "status"}, {"json", status_json()}});
   }
   if (type == "results") {
-    std::string lines;
-    for (const auto& [key, line] : scan_shards(shard_dir()).lines) {
-      lines += line;
-      lines += '\n';
-    }
-    return reply({{"type", "results"}, {"lines", lines}});
+    return reply(
+        {{"type", "results"}, {"lines", scan_shards(shard_dir()).text()}});
   }
   if (type == "artifacts") {
     return reply({{"type", "artifacts"}, {"json", artifacts_json()}});

@@ -10,10 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 
-#include "farm/shard.h"
 #include "farm/test_hooks.h"
 #include "support/check.h"
 #include "support/durable.h"
@@ -225,7 +223,7 @@ bool RemoteWorker::submit_line(const std::string& key, std::uint32_t epoch,
     if (!rpc(fields, &response)) return false;  // spool keeps the line
     const std::string type = flat_json::get(response, "type");
     if (type == "ok") {
-      spool_drop(line);
+      spool_drop(key);
       if (from_spool) {
         ++report_.resubmitted;
       } else {
@@ -238,7 +236,7 @@ bool RemoteWorker::submit_line(const std::string& key, std::uint32_t epoch,
       // refused it: re-sending the same bytes cannot help.
       std::fprintf(stderr, "remote worker: daemon rejected result for %s\n",
                    key.c_str());
-      spool_drop(line);
+      spool_drop(key);
       return true;
     }
     // "retry": transient daemon-side trouble (e.g. its shard append
@@ -250,43 +248,20 @@ bool RemoteWorker::submit_line(const std::string& key, std::uint32_t epoch,
   }
 }
 
-void RemoteWorker::spool_drop(const std::string& line) {
-  std::ifstream in(spool_path());
-  std::string kept;
-  std::string existing;
-  bool dropped = false;
-  while (std::getline(in, existing)) {
-    if (!dropped && existing == line) {
-      dropped = true;  // drop exactly one copy
-      continue;
-    }
-    kept += existing;
-    kept += '\n';
-  }
-  in.close();
+void RemoteWorker::spool_drop(const std::string& key) {
+  harness::TrialLog spool;
+  harness::read_trial_log(spool_path(), &spool);
+  spool.lines.erase(key);
   // A failed rewrite keeps the old spool; a resubmission dedups anyway.
-  publish_atomic(spool_path(), kept);
+  publish_atomic(spool_path(), spool.text());
 }
 
 bool RemoteWorker::resubmit_spool() {
-  // A worker killed mid-append leaves a torn tail; the shard repairer
-  // understands this exact format.
-  repair_shard(spool_path());
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(spool_path());
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty()) lines.push_back(line);
-    }
-  }
-  for (const auto& line : lines) {
-    std::string key;
-    harness::TrialOutcome outcome;
-    if (!harness::parse_checkpoint_line(line, &key, &outcome)) {
-      spool_drop(line);  // repair should have caught this; belt and braces
-      continue;
-    }
+  // A worker killed mid-append leaves a torn tail: repair it before the
+  // next append can land on it.
+  harness::TrialLog spool;
+  harness::read_trial_log(spool_path(), &spool, /*repair=*/true);
+  for (const auto& [key, line] : spool.lines) {
     // Epoch 0: the granting lease is long gone, but result submission is
     // key-based by design — the daemon dedups if the line already landed.
     if (!submit_line(key, 0, line, /*from_spool=*/true)) return false;

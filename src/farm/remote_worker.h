@@ -120,7 +120,7 @@ class RemoteWorker {
   bool submit_line(const std::string& key, std::uint32_t epoch,
                    const std::string& line, bool from_spool);
   bool resubmit_spool();
-  void spool_drop(const std::string& line);
+  void spool_drop(const std::string& key);
 
   RemoteWorkerOptions options_;
   Endpoint endpoint_;

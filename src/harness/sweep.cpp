@@ -11,6 +11,7 @@
 
 #include "rng/ledger.h"
 #include "support/check.h"
+#include "support/durable.h"
 #include "support/flat_json.h"
 #include "support/prng.h"
 #include "trace/trace.h"
@@ -150,6 +151,64 @@ bool parse_checkpoint_line(const std::string& line, std::string* key,
   if (!need("repro", &o->repro_path)) return false;
   o->from_checkpoint = true;
   return true;
+}
+
+void TrialLog::add(const std::string& key, std::string line) {
+  const auto it = lines.lower_bound(key);
+  if (it == lines.end() || it->first != key) {
+    lines.emplace_hint(it, key, std::move(line));
+    return;
+  }
+  ++duplicate_keys;
+  if (line < it->second) it->second = std::move(line);
+}
+
+std::string TrialLog::text() const {
+  std::string out;
+  for (const auto& [key, line] : lines) {
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+std::size_t read_trial_log(const std::string& path, TrialLog* log,
+                           bool repair) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return 0;
+  std::string kept;  // the records, in file order, for a repair
+  std::size_t torn = 0;
+  std::size_t lineno = 0;
+  std::size_t first_torn = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    ++lineno;
+    std::string key;
+    TrialOutcome outcome;
+    // eof() after a successful getline: the line has no '\n'.
+    if (in.eof() || !parse_checkpoint_line(line, &key, &outcome)) {
+      if (torn++ == 0) first_torn = lineno;
+      continue;
+    }
+    if (repair) {
+      kept += line;
+      kept += '\n';
+    }
+    log->add(key, std::move(line));
+  }
+  log->torn_lines += torn;
+  if (repair && torn > 0) {
+    in.close();
+    OMX_CHECK(publish_atomic(path, kept), "cannot repair " + path);
+    std::fprintf(stderr,
+                 "%s: dropped %zu torn line(s), first at line %zu%s — the "
+                 "affected trial(s) re-run\n",
+                 path.c_str(), torn, first_torn,
+                 (torn == 1 && first_torn == lineno)
+                     ? " (the final line, cut by an interrupted write)"
+                     : "");
+  }
+  return torn;
 }
 
 namespace {
@@ -330,62 +389,9 @@ SweepOptions SweepOptions::from_env() {
 Sweep::Sweep() : Sweep(SweepOptions::from_env()) {}
 
 Sweep::Sweep(SweepOptions options) : options_(std::move(options)) {
-  if (checkpointing()) load_checkpoint();
-}
-
-void Sweep::load_checkpoint() {
-  std::ifstream in(options_.checkpoint_path, std::ios::binary);
-  if (!in) return;  // no checkpoint yet — fresh sweep
-  std::string line;
-  std::size_t lineno = 0;
-  std::size_t dropped = 0;
-  std::size_t first_bad = 0;
-  while (std::getline(in, line)) {
-    std::string key;
-    TrialOutcome outcome;
-    ++lineno;
-    if (parse_checkpoint_line(line, &key, &outcome)) {
-      recorded_[key] = std::move(outcome);
-      checkpoint_text_ += line;
-      checkpoint_text_ += '\n';
-    } else {
-      // Typically the torn final line of a killed sweep; that trial simply
-      // re-runs. The rewrite on the next record drops the debris.
-      if (dropped == 0) first_bad = lineno;
-      ++dropped;
-    }
-  }
-  if (dropped > 0) {
-    std::fprintf(
-        stderr,
-        "sweep: checkpoint %s: dropped %zu unparseable line(s), first at "
-        "line %zu%s — the affected trial(s) will re-run\n",
-        options_.checkpoint_path.c_str(), dropped, first_bad,
-        (dropped == 1 && first_bad == lineno)
-            ? " (the final line — torn by an interrupted run)"
-            : "");
-  }
-}
-
-void Sweep::record(const std::string& key, const TrialOutcome& outcome) {
-  checkpoint_text_ += checkpoint_line(key, outcome);
-  checkpoint_text_ += '\n';
-  // Atomic replace: a kill at any instant leaves either the previous file
-  // or the new one, never a half-written state that would poison a resume.
-  const std::string tmp = options_.checkpoint_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << checkpoint_text_;
-    out.flush();
-    if (!out) {
-      throw std::runtime_error("sweep: cannot write checkpoint " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, options_.checkpoint_path, ec);
-  if (ec) {
-    throw std::runtime_error("sweep: cannot publish checkpoint " +
-                             options_.checkpoint_path + ": " + ec.message());
+  // Repair before the first append, so it cannot land on a torn tail.
+  if (checkpointing()) {
+    read_trial_log(options_.checkpoint_path, &recorded_, /*repair=*/true);
   }
 }
 
@@ -457,11 +463,11 @@ std::string Sweep::capture_repro(const ExperimentConfig& cfg,
     }
   }
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
   std::string first_line = outcome.error;
   if (const auto nl = first_line.find('\n'); nl != std::string::npos) {
     first_line.resize(nl);
   }
+  std::ostringstream out;
   out << "# replay with: omxsim --repro " << path << "\n";
   out << "# verdict: " << to_string(outcome.verdict) << "\n";
   out << "# error: " << first_line << "\n";
@@ -469,7 +475,8 @@ std::string Sweep::capture_repro(const ExperimentConfig& cfg,
     out << "# trace: " << *trace_path << " (analyze with omxtrace)\n";
   }
   out << serialize_config(cfg);
-  if (!out) {
+  // Durable before the checkpoint line that names it is appended.
+  if (!publish_atomic(path, out.str())) {
     std::fprintf(stderr, "sweep: cannot write repro file %s\n", path.c_str());
     return "";
   }
@@ -485,10 +492,11 @@ TrialOutcome Sweep::run(ExperimentConfig cfg) {
   if (checkpointing()) {
     key = config_key(cfg);
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = recorded_.find(key);
-    if (it != recorded_.end()) {
-      TrialOutcome out = it->second;
-      out.from_checkpoint = true;
+    const auto it = recorded_.lines.find(key);
+    if (it != recorded_.lines.end()) {
+      TrialOutcome out;
+      std::string parsed_key;
+      parse_checkpoint_line(it->second, &parsed_key, &out);
       ++trials_;
       ++resumed_;
       ++counts_[out.verdict];
@@ -517,8 +525,12 @@ TrialOutcome Sweep::run(ExperimentConfig cfg) {
   if (attempt > 1) ++retried_;
   ++counts_[out.verdict];
   if (checkpointing()) {
-    recorded_[key] = out;
-    record(key, out);
+    std::string line = checkpoint_line(key, out);
+    if (!append_line_durably(options_.checkpoint_path, line)) {
+      throw std::runtime_error("sweep: cannot append to checkpoint " +
+                               options_.checkpoint_path);
+    }
+    recorded_.add(key, std::move(line));
   }
   return out;
 }

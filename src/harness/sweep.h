@@ -11,18 +11,20 @@
 //   * watchdog deadlines — SweepOptions::trial_deadline_ms is forwarded to
 //     the engine's cooperative round-boundary watchdog, so a stalled
 //     protocol degrades into a recorded `timeout` verdict;
-//   * JSONL checkpointing — every finished trial is appended to a
-//     checkpoint file keyed by its config hash, rewritten atomically
-//     (whole file to `<path>.tmp`, then rename), so `kill -9` loses at
-//     most the in-flight trial; a restarted sweep replays recorded trials
-//     from the file instead of re-running them, byte-identically for
-//     deterministic (serially driven) sweeps;
+//   * JSONL checkpointing — every finished trial is one line, keyed by its
+//     config hash, appended with support::append_line_durably (one write,
+//     then fsync), so a crash at any write boundary loses at most the
+//     in-flight trial. The file is the farm's shard format, read by the
+//     one reader below (read_trial_log): a restarted sweep repairs a torn
+//     tail away and replays recorded trials instead of re-running them,
+//     byte-identically for deterministic (serially driven) sweeps;
 //   * seed retries — transient verdicts (timeout, round_cap) re-run up to
 //     SweepOptions::max_attempts times with deterministically perturbed
 //     seeds, the attempt count recorded in the outcome;
 //   * repro capture — a trial that violates a model invariant
 //     (OMX_CHECK / AdversaryViolation / budget overdraft) serializes its
-//     full ExperimentConfig to `<repro_dir>/<hash>.repro`; `omxsim --repro
+//     full ExperimentConfig to `<repro_dir>/<hash>.repro` (publish_atomic,
+//     before the checkpoint line that names it); `omxsim --repro
 //     <file>` replays exactly that trial, outside the isolation shell, so
 //     the original exception surfaces with its class-specific exit code.
 //
@@ -39,7 +41,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "harness/experiment.h"
 
@@ -76,7 +77,8 @@ struct TrialOutcome {
   /// the failing trial re-run deterministically with tracing on, so the
   /// exact event history up to the violation ships with the config. Not
   /// persisted in the checkpoint (its line format predates tracing and
-  /// resume must stay byte-identical); a resumed outcome leaves it empty.
+  /// resume must stay byte-identical); an outcome served from the
+  /// checkpoint leaves it empty.
   std::string trace_path;
   /// True iff this outcome was replayed from the checkpoint, not re-run.
   bool from_checkpoint = false;
@@ -141,6 +143,34 @@ std::string checkpoint_line(const std::string& key, const TrialOutcome& o);
 bool parse_checkpoint_line(const std::string& line, std::string* key,
                            TrialOutcome* out);
 
+/// Trial-record files (a Sweep checkpoint, a farm shard, a worker spool)
+/// read back: one line per key, whatever the files held.
+struct TrialLog {
+  /// key → line, in canonical (key) order. The duplicate-key rule: the
+  /// lexicographically smallest line wins. Duplicates are identical for a
+  /// deterministic engine; the rule makes even a divergent pair resolve
+  /// the same way in every reader.
+  std::map<std::string, std::string> lines;
+  std::size_t torn_lines = 0;      // unparseable lines dropped
+  std::size_t duplicate_keys = 0;  // extra occurrences collapsed
+
+  /// Add one parsed record under the duplicate-key rule.
+  void add(const std::string& key, std::string line);
+  /// Every line, newline-terminated, in key order.
+  std::string text() const;
+};
+
+/// Add every record of the file at `path` to *log (a missing file adds
+/// nothing). A line is a record only when it parses and ends in '\n':
+/// append_line_durably writes both in one write(2), so anything else is
+/// the debris of an interrupted writer and counts as torn. With `repair`,
+/// a file holding torn lines is rewritten to its records in file order
+/// (publish_atomic), so the next append starts on a line boundary. Returns
+/// the file's torn-line count; throws InvariantError if the repair cannot
+/// be published.
+std::size_t read_trial_log(const std::string& path, TrialLog* log,
+                           bool repair = false);
+
 class Sweep {
  public:
   /// Options from the environment (SweepOptions::from_env).
@@ -167,8 +197,6 @@ class Sweep {
 
  private:
   bool checkpointing() const { return !options_.checkpoint_path.empty(); }
-  void load_checkpoint();
-  void record(const std::string& key, const TrialOutcome& outcome);
   TrialOutcome run_isolated(const ExperimentConfig& cfg) const;
   std::string capture_repro(const ExperimentConfig& cfg,
                             const TrialOutcome& outcome,
@@ -176,8 +204,7 @@ class Sweep {
 
   SweepOptions options_;
   mutable std::mutex mu_;
-  std::unordered_map<std::string, TrialOutcome> recorded_;
-  std::string checkpoint_text_;  // the checkpoint file's current contents
+  TrialLog recorded_;  // the checkpoint's records, appended as trials end
   std::uint64_t trials_ = 0;
   std::uint64_t resumed_ = 0;
   std::uint64_t retried_ = 0;

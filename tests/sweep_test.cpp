@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/params.h"
+#include "farm/shard.h"
 #include "harness/sweep.h"
 #include "rng/ledger.h"
 #include "support/check.h"
@@ -440,6 +441,61 @@ TEST(SweepCheckpoint, TornLineWarningNamesTheFinalLine) {
   EXPECT_EQ(resumed.resumed(), 2u);   // the torn third line did not resume
   EXPECT_EQ(resumed.trials(), 3u);
   EXPECT_EQ(slurp(torn_opts.checkpoint_path), reference);
+}
+
+TEST(SweepCheckpoint, FinalLineWithoutItsNewlineIsTorn) {
+  // A write cut just before the '\n' leaves a line that parses. It is still
+  // debris: an append after it would glue two records into one.
+  const fs::path dir = scratch("no_newline");
+  SweepOptions opts;
+  opts.checkpoint_path = (dir / "ckpt.jsonl").string();
+  {
+    Sweep sweep(opts);
+    for (std::uint64_t s = 1; s <= 2; ++s) sweep.run(tiny_config(s));
+  }
+  const std::string reference = slurp(opts.checkpoint_path);
+  std::ofstream(opts.checkpoint_path, std::ios::binary | std::ios::trunc)
+      << reference.substr(0, reference.size() - 1);
+
+  Sweep resumed(opts);
+  EXPECT_EQ(slurp(opts.checkpoint_path),
+            reference.substr(0, reference.find('\n') + 1));  // repaired
+  for (std::uint64_t s = 1; s <= 2; ++s) resumed.run(tiny_config(s));
+  EXPECT_EQ(resumed.resumed(), 1u);
+  EXPECT_EQ(slurp(opts.checkpoint_path), reference);
+}
+
+TEST(SweepCheckpoint, DuplicateKeyResolvesLikeTheFarmMerge) {
+  // Three different lines for one key. Neither the first nor the last
+  // wins: Sweep's resume and the farm's merge both keep the
+  // lexicographically smallest, so the two tools agree on the record.
+  const fs::path dir = scratch("duplicate");
+  const ExperimentConfig cfg = tiny_config(1);
+  const std::string key = config_key(cfg);
+  const auto line_with_seed = [&](std::uint64_t seed) {
+    TrialOutcome o;
+    o.seed_used = seed;
+    return checkpoint_line(key, o);
+  };
+  const std::string smallest = line_with_seed(1);
+  fs::create_directories(dir / "shards");
+  SweepOptions opts;
+  opts.checkpoint_path = (dir / "shards" / "ckpt.jsonl").string();
+  std::ofstream(opts.checkpoint_path, std::ios::binary)
+      << line_with_seed(5) << "\n"
+      << smallest << "\n"
+      << line_with_seed(9) << "\n";
+
+  Sweep resumed(opts);
+  const TrialOutcome trial = resumed.run(cfg);
+  EXPECT_TRUE(trial.from_checkpoint);
+  EXPECT_EQ(trial.seed_used, 1u);
+  EXPECT_EQ(checkpoint_line(key, trial), smallest);
+
+  const farm::ShardScan merged = farm::merge_shards(
+      (dir / "shards").string(), (dir / "merged.jsonl").string());
+  EXPECT_EQ(merged.duplicate_keys, 2u);
+  EXPECT_EQ(slurp(dir / "merged.jsonl"), smallest + "\n");
 }
 
 // ---------------------------------------------------------------------------
